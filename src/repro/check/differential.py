@@ -8,7 +8,9 @@ The reproduction has three execution paths that model the same system:
   fast path used by :class:`~repro.sim.simulator.ElasticDbSimulator`,
 
 plus a migrator whose fluid-model data fractions must track the bucket
-moves it actually commits.  Each ``diff_*`` function runs one pair
+moves it actually commits, and serve's online controller, which must
+replay the capacity simulator's provisioning one slot later.  Each
+``diff_*`` function runs one pair
 through the same workload and compares the results within a declared
 tolerance; :func:`run_suite` bundles them into the report behind
 ``pstore check``.
@@ -35,6 +37,7 @@ always leaves an auditable trail in the event log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -650,15 +653,154 @@ def diff_serve_resume(perturb: bool = False) -> CheckReport:
 
 
 # ----------------------------------------------------------------------
+# Serve replay vs. the capacity simulator
+# ----------------------------------------------------------------------
+
+#: ``(predictor, Q fraction, eval days)`` fig12 season cells replayed by
+#: the serve-replay differential.
+SERVE_REPLAY_CASES = (
+    ("spar", 0.45, 4),
+    ("oracle", 0.65, 4),
+    ("spar", 0.85, 4),
+)
+
+
+def _migration_rows(records, shift: float = 0.0, until: float = np.inf):
+    """``(kind, time + shift)`` of every ``migration.*`` chronicle row
+    whose shifted time is at most ``until``."""
+    return [
+        (rec["kind"], rec["time"] + shift)
+        for rec in records
+        if rec["kind"].startswith("migration.")
+        and rec["time"] + shift <= until
+    ]
+
+
+def diff_serve_replay(
+    cases: Sequence = SERVE_REPLAY_CASES, seed: int = 7, perturb: bool = False
+) -> CheckReport:
+    """Replay fig12 season traces through serve's
+    :class:`~repro.serve.controller.OnlineController` and through the
+    :class:`~repro.sim.capacity_sim.CapacitySimulator`, and require the
+    same provisioning one slot later.
+
+    Both loops see the same fitted predictor and the same history (the
+    training window, then one measured slot at a time); serve runs with
+    no error trigger and no ``max_machines``.  The simulator decides at
+    the start of slot s, after appending its load, and moves during s;
+    serve decides at the close of s and moves from s+1.  So serve's
+    mid-slot effective capacity and machine series must equal the
+    simulator's shifted one slot later, bit for bit; both must start the
+    same moves (and emergencies); and serve's ``migration.*`` chronicle
+    ``(kind, time)`` rows must equal the simulator's shifted one slot
+    later, up to the end of the trace.  ``perturb`` corrupts one serve
+    sample to prove the comparison has teeth.
+    """
+    from ..elasticity import PStoreStrategy
+    from ..experiments.fig12 import SATURATION_TPS, season_setup
+    from ..serve.controller import OnlineController
+    from ..sim.capacity_sim import CapacitySimulator
+    from ..telemetry import telemetry_scope
+
+    checks: List[DiffCheck] = []
+    for index, (family, q_fraction, n_days) in enumerate(cases):
+        setup = season_setup(n_days=n_days, seed=seed)
+        config = setup.config.with_q(
+            min(q_fraction * SATURATION_TPS, setup.config.q_hat)
+        )
+        predictor = setup.spar if family == "spar" else setup.oracle
+        machines = max(1, math.ceil(float(setup.eval_tps[0]) * 1.3 / config.q))
+        slot_seconds = config.interval_seconds
+        name = f"serve-replay.{family}@{q_fraction:g}"
+
+        with telemetry_scope() as tel:
+            batch = CapacitySimulator(
+                config,
+                machines,
+                history_seed=list(setup.train_tps),
+                peak_sigma=0.0,
+            ).run(setup.trace, PStoreStrategy(config, predictor))
+            batch_rows = _migration_rows(
+                tel.chronicle.snapshot(),
+                shift=slot_seconds,
+                until=setup.eval_tps.size * slot_seconds,
+            )
+
+        with telemetry_scope() as tel:
+            controller = OnlineController(
+                config, predictor, initial_machines=machines
+            )
+            history = list(setup.train_tps)
+            samples = []
+            for slot, tps in enumerate(setup.eval_tps):
+                history.append(float(tps))
+                controller.on_interval(
+                    slot, history, (slot + 1) * slot_seconds
+                )
+                samples.append(controller.slot_capacity)
+            serve_rows = _migration_rows(tel.chronicle.snapshot())
+        serve_machines = np.array([m for m, _ in samples], dtype=float)
+        serve_eff = np.array([e for _, e in samples])
+        if perturb and index == 0:
+            serve_eff[serve_eff.size // 2] += 1.0
+
+        for label, served, simulated in (
+            ("eff_cap", serve_eff, batch.eff_cap_max),
+            ("machines", serve_machines, batch.machines),
+        ):
+            _record(
+                checks,
+                f"{name}.{label}",
+                float(np.max(np.abs(served[1:] - simulated[:-1]))),
+                FAST_PATH_TOL,
+                f"{served.size - 1} slots shifted by one",
+            )
+        for label, served, simulated in (
+            ("moves_started", controller.moves_started, batch.moves_started),
+            ("emergencies", controller.emergencies, batch.emergencies),
+        ):
+            _record(
+                checks,
+                f"{name}.{label}",
+                float(abs(served - simulated)),
+                0.0,
+                f"serve={served} sim={simulated}",
+            )
+        mismatches = sum(
+            1 for a, b in zip(serve_rows, batch_rows) if a != b
+        ) + abs(len(serve_rows) - len(batch_rows))
+        _record(
+            checks,
+            f"{name}.chronicle-projection",
+            float(mismatches),
+            0.0,
+            f"{len(serve_rows)} serve vs {len(batch_rows)} shifted sim rows",
+        )
+        steps = np.diff(batch.machines)
+        _record(
+            checks,
+            f"{name}.scale-out-and-in-exercised",
+            0.0 if (steps > 0).any() and (steps < 0).any() else 1.0,
+            0.0,
+            f"machines {batch.machines.min():g}..{batch.machines.max():g}",
+        )
+    return CheckReport(checks)
+
+
+# ----------------------------------------------------------------------
 # Suite
 # ----------------------------------------------------------------------
 
-SUITES = ("fast-path", "engines", "migration", "tensor", "serve-resume")
+SUITES = (
+    "fast-path", "engines", "migration", "tensor", "serve-resume",
+    "serve-replay",
+)
 INJECTIONS = (
     "drop-bucket",
     "perturb-fast-path",
     "perturb-tensor",
     "perturb-serve-resume",
+    "perturb-serve-replay",
 )
 
 
@@ -693,5 +835,9 @@ def run_suite(
     if "serve-resume" in suites:
         report.extend(
             diff_serve_resume(perturb=inject == "perturb-serve-resume")
+        )
+    if "serve-replay" in suites:
+        report.extend(
+            diff_serve_replay(perturb=inject == "perturb-serve-replay")
         )
     return report

@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--suite", action="append",
         choices=("fast-path", "engines", "migration", "tensor",
-                 "serve-resume"),
+                 "serve-resume", "serve-replay"),
         default=None, metavar="NAME",
         help="differential suite(s) to run (repeatable; default: all)",
     )
@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--inject",
         choices=("drop-bucket", "perturb-fast-path", "perturb-tensor",
-                 "perturb-serve-resume"),
+                 "perturb-serve-resume", "perturb-serve-replay"),
         default=None,
         help="deliberately corrupt one path to verify the harness "
         "catches it (the command must then exit nonzero)",

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import PStoreConfig, canonical_json, default_config
 from ..errors import SweepError
 from ..telemetry import get_telemetry
-from ..telemetry.runtime import Telemetry, telemetry_scope
+from ..telemetry.runtime import NULL_TELEMETRY, Telemetry, telemetry_scope
 from ..workload import memo as trace_memo
 from .cache import ENVELOPE_SCHEMA, ResultCache
 from .spec import RunSpec, jsonify
@@ -68,7 +68,7 @@ def _execute_cell(task: tuple) -> tuple:
         config = PStoreConfig.from_dict(config_dict)
         run_cell = _resolve_cell_runner(spec.experiment)
         bundle = Telemetry() if record_events else None
-        with telemetry_scope(bundle):
+        with telemetry_scope(bundle or NULL_TELEMETRY):
             payload = run_cell(spec, config)
         payload = jsonify(payload)
         if not isinstance(payload, dict):
@@ -542,7 +542,7 @@ class SweepExecutor:
             start = time.perf_counter()
             memo_before = trace_memo.stats()
             try:
-                with telemetry_scope(bundle):
+                with telemetry_scope(bundle or NULL_TELEMETRY):
                     program = builder(spec, self.config)
             except Exception as exc:  # noqa: BLE001 - marshalled like workers
                 detail = "".join(

@@ -27,7 +27,7 @@ mode back.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from ..elasticity.predictive import PStoreStrategy
 from ..elasticity.reactive import ReactiveStrategy
 from ..errors import PredictionError, SimulationError
 from ..prediction.online import OnlinePredictor
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.move import MoveTracker
 from ..telemetry import get_telemetry
 
 
@@ -138,11 +137,14 @@ class OnlineController:
     """Drives provisioning from a live interval stream.
 
     One :meth:`on_interval` call per closed planner slot, with the
-    measured history up to and including that slot.  Owns the
-    capacity-level migration state (fluid fractions via
-    :class:`ActiveMigration`, just-in-time allocation) exactly as the
-    batch capacity simulator does, so a serve run and a batch run over
-    the same trace are directly comparable.
+    measured history up to and including that slot.  Drives the
+    capacity-level move through the same
+    :class:`~repro.squall.move.MoveTracker` as the batch capacity
+    simulator, so a serve run and a batch run over the same trace are
+    directly comparable: the simulator decides at the start of slot s
+    (after appending its load) and moves during s, while serve decides
+    at the close of s and moves from s+1 — the same series, one slot
+    later (pinned by ``pstore check --suite serve-replay``).
     """
 
     def __init__(
@@ -178,21 +180,13 @@ class OnlineController:
         #: or "reactive" (error-triggered fallback).
         self.mode = "predictive" if self._predictive_ready([]) else "warmup"
 
-        self._migration: Optional[ActiveMigration] = None
-        self._move_rec_id: Optional[str] = None
-        self._move_before = initial_machines
-        self._move_target = initial_machines
-        self._move_started = 0.0
-        self._move_rate_kbps = 0.0
-        #: Half-slot ``advance`` calls applied to the in-flight migration
-        #: so far; checkpoint restore replays exactly this many to land
-        #: the fluid fractions on the same float trajectory.
-        self._move_half_steps = 0
+        self.move = MoveTracker(config, self._telemetry)
         self._fa_record_id: Optional[str] = None
 
+        #: ``(machines, eff Q-hat)`` at the midpoint of the last closed
+        #: interval — the per-slot series the capacity simulator reports.
+        self.slot_capacity: Optional[Tuple[int, float]] = None
         self.violations = 0
-        self.moves_started = 0
-        self.emergencies = 0
         self.trigger_fires = 0
         self.trigger_recoveries = 0
         self.intervals_seen = 0
@@ -217,7 +211,15 @@ class OnlineController:
 
     @property
     def migrating(self) -> bool:
-        return self._migration is not None
+        return self.move.active
+
+    @property
+    def moves_started(self) -> int:
+        return self.move.moves_started
+
+    @property
+    def emergencies(self) -> int:
+        return self.move.emergencies
 
     def error_stats(self) -> Optional[dict]:
         tau = self.trigger.tau if self.trigger is not None else 1
@@ -252,7 +254,15 @@ class OnlineController:
 
         # Step the in-flight migration across the slot, sampling
         # effective capacity (Eq. 7) at the midpoint like the batch loop.
-        eff_qhat = self._step_migration(now, slot_seconds)
+        machines_mid, _, eff_qhat = self.move.step_slot(
+            self.machines, slot_seconds
+        )
+        self.slot_capacity = (machines_mid, eff_qhat)
+        if self.move.done:
+            self.machines = self.move.complete(now)
+            if self._strategy is not None:
+                self._strategy.notify_move_finished(self.machines)
+            self._reactive.notify_move_finished(self.machines)
 
         if tel.enabled:
             tel.metrics.gauge("serve.machines").set(self._machines_now())
@@ -260,8 +270,8 @@ class OnlineController:
             if tps > eff_qhat + 1e-9:
                 self.violations += 1
                 tel.metrics.counter("serve.capacity_insufficient").inc()
-                if self.migrating and self._move_rec_id:
-                    parent = self._move_rec_id
+                if self.migrating and self.move.record_id:
+                    parent = self.move.record_id
                 else:
                     parent = tel.chronicle.last("forecast.snapshot")
                 tel.chronicle.record(
@@ -284,45 +294,9 @@ class OnlineController:
             self._plan(history, slot, now)
 
     def _machines_now(self) -> int:
-        if self._migration is not None:
-            return self._migration.machines_allocated()
+        if self.move.migration is not None:
+            return self.move.migration.machines_allocated()
         return self.machines
-
-    def _step_migration(self, now: float, slot_seconds: float) -> float:
-        """Advance any active move by one slot; returns eff Q-hat."""
-        config = self.config
-        if self._migration is None:
-            return config.q_hat * self.machines
-        self._migration.advance(slot_seconds / 2.0)
-        largest = float(self._migration.data_fractions().max())
-        eff_qhat = config.q_hat / largest
-        self._migration.advance(slot_seconds / 2.0)
-        self._move_half_steps += 2
-        if self._migration.done:
-            tel = self._telemetry
-            if tel.enabled:
-                tel.events.emit(
-                    "migration.complete",
-                    time=now,
-                    before=self._move_before,
-                    after=self._move_target,
-                    seconds=now - self._move_started,
-                )
-                tel.chronicle.record(
-                    "migration.complete",
-                    time=now,
-                    parent=self._move_rec_id,
-                    before=self._move_before,
-                    after=self._move_target,
-                    seconds=now - self._move_started,
-                )
-            self.machines = self._move_target
-            self._migration = None
-            self._move_rec_id = None
-            if self._strategy is not None:
-                self._strategy.notify_move_finished(self.machines)
-            self._reactive.notify_move_finished(self.machines)
-        return eff_qhat
 
     # ------------------------------------------------------------------
     # Error-triggered re-planning
@@ -478,49 +452,10 @@ class OnlineController:
             target = min(target, self.max_machines)
         if target == self.machines or target < 1:
             return
-        config = self.config
-        schedule = build_migration_schedule(self.machines, target)
-        self._migration = ActiveMigration(
-            schedule=schedule,
-            database_kb=config.database_kb,
-            rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-            partitions_per_node=config.partitions_per_node,
-        )
-        self._move_before = self.machines
-        self._move_target = target
-        self._move_started = now
-        self._move_rate_kbps = config.migration_rate_kbps * decision.rate_multiplier
-        self._move_half_steps = 0
-        self.moves_started += 1
+        self.move.start(self.machines, target, decision, now, slot)
         self.last_decision_reason = decision.reason
-        if decision.emergency:
-            self.emergencies += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.start",
-                time=now,
-                before=self.machines,
-                after=target,
-                emergency=decision.emergency,
-                reason=decision.reason,
-                rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-                est_seconds=self._migration.total_seconds,
-            )
-            rec = tel.chronicle.record(
-                "migration.start",
-                time=now,
-                parent=getattr(decision, "record_id", None),
-                before=self.machines,
-                after=target,
-                emergency=decision.emergency,
-                reason=decision.reason,
-                rate_kbps=config.migration_rate_kbps * decision.rate_multiplier,
-                est_seconds=self._migration.total_seconds,
-                slot=slot,
-            )
-            self._move_rec_id = rec.get("id")
-            tel.metrics.counter("serve.moves_started").inc()
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("serve.moves_started").inc()
         if self._strategy is not None:
             self._strategy.notify_move_started(target)
 
@@ -531,12 +466,9 @@ class OnlineController:
     def state_dict(self) -> dict:
         """JSON-serialisable snapshot of all mutable controller state.
 
-        The in-flight migration is stored as its *inputs* (endpoints,
-        rate, applied half-steps) rather than its float fractions:
-        :meth:`restore_state` rebuilds the schedule and replays the same
-        half-slot ``advance`` sequence, which reproduces the fluid
-        trajectory bit-exactly because round commits rebuild from
-        snapshots (see :class:`~repro.squall.migrator.ActiveMigration`).
+        The in-flight migration is stored as its *inputs* (see
+        :meth:`~repro.squall.move.MoveTracker.state_dict`), restored by
+        half-step replay.
         """
         strategy_doc = None
         if self._strategy is not None:
@@ -544,16 +476,6 @@ class OnlineController:
             strategy_doc = {
                 "scale_in_streak": inner._scale_in_streak,
                 "last_snapshot_id": inner._last_snapshot_id,
-            }
-        migration_doc = None
-        if self._migration is not None:
-            migration_doc = {
-                "before": self._move_before,
-                "target": self._move_target,
-                "started": self._move_started,
-                "rate_kbps": self._move_rate_kbps,
-                "half_steps": self._move_half_steps,
-                "move_rec_id": self._move_rec_id,
             }
         return {
             "machines": self.machines,
@@ -568,7 +490,7 @@ class OnlineController:
             "fa_record_id": self._fa_record_id,
             "reactive_below_streak": self._reactive._below_streak,
             "strategy": strategy_doc,
-            "migration": migration_doc,
+            "migration": self.move.state_dict(),
         }
 
     def restore_state(self, doc: dict) -> None:
@@ -581,8 +503,8 @@ class OnlineController:
         self.machines = int(doc["machines"])
         self.mode = str(doc.get("mode", "warmup"))
         self.violations = int(doc.get("violations", 0))
-        self.moves_started = int(doc.get("moves_started", 0))
-        self.emergencies = int(doc.get("emergencies", 0))
+        self.move.moves_started = int(doc.get("moves_started", 0))
+        self.move.emergencies = int(doc.get("emergencies", 0))
         self.trigger_fires = int(doc.get("trigger_fires", 0))
         self.trigger_recoveries = int(doc.get("trigger_recoveries", 0))
         self.intervals_seen = int(doc.get("intervals_seen", 0))
@@ -591,31 +513,11 @@ class OnlineController:
         self._reactive.reset(self.machines)
         self._reactive._below_streak = int(doc.get("reactive_below_streak", 0))
         self._ensure_strategy()
-        migration_doc = doc.get("migration")
-        if migration_doc is not None:
-            config = self.config
-            self._move_before = int(migration_doc["before"])
-            self._move_target = int(migration_doc["target"])
-            self._move_started = float(migration_doc["started"])
-            self._move_rate_kbps = float(migration_doc["rate_kbps"])
-            self._move_rec_id = migration_doc.get("move_rec_id")
-            schedule = build_migration_schedule(
-                self._move_before, self._move_target
-            )
-            self._migration = ActiveMigration(
-                schedule=schedule,
-                database_kb=config.database_kb,
-                rate_kbps=self._move_rate_kbps,
-                partitions_per_node=config.partitions_per_node,
-            )
-            half = config.interval_seconds / 2.0
-            steps = int(migration_doc.get("half_steps", 0))
-            for _ in range(steps):
-                self._migration.advance(half)
-            self._move_half_steps = steps
+        self.move.restore_state(doc.get("migration"))
+        if self.move.active:
             if self._strategy is not None:
-                self._strategy.notify_move_started(self._move_target)
-            self._reactive.notify_move_started(self._move_target)
+                self._strategy.notify_move_started(self.move.target)
+            self._reactive.notify_move_started(self.move.target)
         # Strategy counters go last: the move-started notification above
         # zeroes the scale-in streak, and the checkpointed values are the
         # post-notification ones.
@@ -638,31 +540,11 @@ class OnlineController:
         """Deterministic drain: a partially-applied migration round rolls
         back to its last committed boundary and the abort is chronicled,
         so the exported run directory never shows in-between state."""
-        if self._migration is None:
+        if not self.move.active:
             return
-        rolled = self._migration.rollback_partial_round()
-        tel = self._telemetry
-        if tel.enabled:
-            tel.events.emit(
-                "migration.aborted",
-                time=now,
-                before=self._move_before,
-                after=self._move_target,
-                reason=reason,
-                rolled_back_fraction=rolled,
-            )
-            tel.chronicle.record(
-                "migration.aborted",
-                time=now,
-                parent=self._move_rec_id,
-                before=self._move_before,
-                after=self._move_target,
-                reason=reason,
-                rolled_back_fraction=rolled,
-            )
-            tel.metrics.counter("serve.moves_aborted").inc()
-        self._migration = None
-        self._move_rec_id = None
+        self.move.abort(now, reason, rollback=True)
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("serve.moves_aborted").inc()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,8 +31,7 @@ from ..check import invariants
 from ..config import PStoreConfig
 from ..elasticity.base import ProvisioningStrategy
 from ..errors import SimulationError
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.move import MoveTracker
 from ..telemetry import get_telemetry
 from ..workload.trace import LoadTrace
 
@@ -137,23 +136,16 @@ class CapacitySimulator:
 
         strategy.reset(self.initial_machines)
         machines = self.initial_machines
-        migration: Optional[ActiveMigration] = None
-        migration_target = machines
-        migration_before = machines
-        migration_emergency = False
-        migration_started = 0.0
+        tel = self._telemetry
+        move = MoveTracker(config, tel)
 
         out_machines = np.empty(n_slots)
         out_eff_q = np.empty(n_slots)
         out_eff_qhat = np.empty(n_slots)
         out_migrating = np.zeros(n_slots, dtype=bool)
-        emergencies = 0
-        moves_started = 0
         history = self.history
-        tel = self._telemetry
         recording = tel.enabled
         chron = tel.chronicle
-        move_rec_id: Optional[str] = None
         expected: Optional[dict] = None
 
         for slot in range(n_slots):
@@ -173,96 +165,23 @@ class CapacitySimulator:
                 )
                 expected = harvest[0] if harvest else None
 
-            if migration is None:
+            if not move.active:
                 decision = strategy.decide(slot, history, machines)
                 if decision.acts and decision.target_machines != machines:
-                    schedule = build_migration_schedule(
-                        machines, decision.target_machines
+                    move.start(
+                        machines, decision.target_machines, decision,
+                        slot * slot_seconds, slot,
                     )
-                    migration = ActiveMigration(
-                        schedule=schedule,
-                        database_kb=config.database_kb,
-                        rate_kbps=config.migration_rate_kbps
-                        * decision.rate_multiplier,
-                        partitions_per_node=config.partitions_per_node,
-                    )
-                    migration_target = decision.target_machines
-                    migration_before = machines
-                    migration_emergency = decision.emergency
-                    migration_started = slot * slot_seconds
-                    moves_started += 1
-                    if decision.emergency:
-                        emergencies += 1
-                    if recording:
-                        tel.events.emit(
-                            "migration.start",
-                            time=migration_started,
-                            before=machines,
-                            after=migration_target,
-                            emergency=decision.emergency,
-                            reason=decision.reason,
-                            rate_kbps=config.migration_rate_kbps
-                            * decision.rate_multiplier,
-                            est_seconds=migration.total_seconds,
-                        )
-                        rec = chron.record(
-                            "migration.start",
-                            time=migration_started,
-                            parent=getattr(decision, "record_id", None),
-                            before=migration_before,
-                            after=migration_target,
-                            emergency=decision.emergency,
-                            reason=decision.reason,
-                            rate_kbps=config.migration_rate_kbps
-                            * decision.rate_multiplier,
-                            est_seconds=migration.total_seconds,
-                            slot=slot,
-                        )
-                        move_rec_id = rec.get("id")
                     strategy.notify_move_started(decision.target_machines)
 
-            if migration is not None:
-                # State during this slot: sample at the slot midpoint.
-                migration.advance(slot_seconds / 2.0)
-                fractions = migration.data_fractions()
-                largest = float(fractions.max())
-                out_machines[slot] = migration.machines_allocated()
-                out_eff_q[slot] = config.q / largest
-                out_eff_qhat[slot] = config.q_hat / largest
-                out_migrating[slot] = True
-                migration.advance(slot_seconds / 2.0)
-                if migration.done:
-                    now = (slot + 1) * slot_seconds
-                    if recording:
-                        tel.events.emit(
-                            "migration.complete",
-                            time=now,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        tel.metrics.histogram(
-                            "migrate.duration_seconds",
-                            bounds=tuple(float(2 ** i) for i in range(24)),
-                        ).observe(now - migration_started)
-                        chron.record(
-                            "migration.complete",
-                            time=now,
-                            parent=move_rec_id,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        move_rec_id = None
-                    machines = migration_target
-                    migration = None
-                    strategy.notify_move_finished(machines)
-            else:
-                out_machines[slot] = machines
-                out_eff_q[slot] = config.q * machines
-                out_eff_qhat[slot] = config.q_hat * machines
+            # State during this slot: sampled at the slot midpoint.
+            out_migrating[slot] = move.active
+            (
+                out_machines[slot], out_eff_q[slot], out_eff_qhat[slot]
+            ) = move.step_slot(machines, slot_seconds)
+            if move.done:
+                machines = move.complete((slot + 1) * slot_seconds)
+                strategy.notify_move_finished(machines)
 
             if recording:
                 self._record_slot(
@@ -275,8 +194,8 @@ class CapacitySimulator:
                 if peak_load[slot] > out_eff_qhat[slot] + 1e-9:
                     # Fig. 12's y-axis, chronicled: whom do we blame for
                     # this slot running out of capacity?
-                    if out_migrating[slot] and move_rec_id:
-                        parent = move_rec_id
+                    if out_migrating[slot] and move.record_id:
+                        parent = move.record_id
                     elif expected is not None:
                         parent = expected.get("snapshot_id")
                     else:
@@ -304,8 +223,8 @@ class CapacitySimulator:
 
         if recording:
             tel.metrics.gauge("sim.slots").set(n_slots)
-            tel.metrics.counter("sim.moves_started").inc(moves_started)
-            tel.metrics.counter("sim.emergencies").inc(emergencies)
+            tel.metrics.counter("sim.moves_started").inc(move.moves_started)
+            tel.metrics.counter("sim.emergencies").inc(move.emergencies)
 
         if invariants.enabled(invariants.CHEAP):
             invariants.check_capacity_accounting(
@@ -322,8 +241,8 @@ class CapacitySimulator:
             eff_cap_target=out_eff_q,
             eff_cap_max=out_eff_qhat,
             migrating=out_migrating,
-            emergencies=emergencies,
-            moves_started=moves_started,
+            emergencies=move.emergencies,
+            moves_started=move.moves_started,
         )
 
     def _record_slot(

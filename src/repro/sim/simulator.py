@@ -31,8 +31,7 @@ from ..hstore.engine import (
     QueueingEngine,
 )
 from ..hstore.latency import PercentileSeries
-from ..squall.migrator import ActiveMigration
-from ..squall.schedule import build_migration_schedule
+from ..squall.move import MoveTracker
 from ..telemetry import get_telemetry
 
 
@@ -237,9 +236,9 @@ class ElasticDbSimulator:
         machines = self.initial_machines
         strategy.reset(machines)
 
-        migration: Optional[ActiveMigration] = None
-        migration_rate = config.migration_rate_kbps
-        migration_target = machines
+        tel = self._telemetry
+        move = MoveTracker(config, tel)
+        migration = None
         retiring: List[int] = []
 
         history: List[float] = [float(v) for v in history_seed_tps]
@@ -253,15 +252,8 @@ class ElasticDbSimulator:
         p50 = np.empty(n)
         p95 = np.empty(n)
         p99 = np.empty(n)
-        emergencies = 0
-        moves_started = 0
-        tel = self._telemetry
         recording = tel.enabled
         chron = tel.chronicle
-        migration_before = machines
-        migration_emergency = False
-        migration_started = 0.0
-        move_rec_id: Optional[str] = None
         # Per-interval accounting feeding the chronicle's sla.violation
         # records: seconds above the SLA, worst p99, and how many of the
         # interval's seconds were spent migrating / under fault activity.
@@ -298,29 +290,13 @@ class ElasticDbSimulator:
                         injector.mark_recovered(record, float(t))
                         continue
                     if migration is not None:
+                        move.abort(float(t), "node crash")
                         migration = None
                         retiring = []
                         machines = len(active)
                         resend_seconds = 0.0
                         resend_records = []
                         stall_watch = None
-                        if recording:
-                            tel.events.emit(
-                                "migration.aborted",
-                                time=float(t),
-                                before=migration_before,
-                                after=migration_target,
-                                reason="node crash",
-                            )
-                            chron.record(
-                                "migration.aborted",
-                                time=float(t),
-                                parent=move_rec_id,
-                                before=migration_before,
-                                after=migration_target,
-                                reason="node crash",
-                            )
-                            move_rec_id = None
                         strategy.notify_move_finished(machines)
                     victim = injector.resolve_crash_node(record, active)
                     injector.mark_detected(record, float(t))
@@ -416,8 +392,8 @@ class ElasticDbSimulator:
                     if iv_viol:
                         if iv_fault and chron.last("fault.injected"):
                             parent = chron.last("fault.injected")
-                        elif iv_migr and move_rec_id:
-                            parent = move_rec_id
+                        elif iv_migr and move.record_id:
+                            parent = move.record_id
                         elif expected is not None:
                             parent = expected.get("snapshot_id")
                         else:
@@ -456,56 +432,20 @@ class ElasticDbSimulator:
                         and target != machines
                         and 1 <= target <= self.max_machines - len(crashed)
                     ):
-                        migration_rate = (
-                            config.migration_rate_kbps * decision.rate_multiplier
+                        node_map, retiring = self._place_move(
+                            active, machines, target, excluded=crashed,
                         )
-                        migration, retiring = self._start_move(
-                            active, machines, target,
-                            migration_rate, excluded=crashed,
+                        migration = move.start(
+                            machines, target, decision, float(t + 1), slot,
+                            chunk_kb=self.chunk_kb, node_map=node_map,
                         )
-                        migration_target = target
-                        migration_before = machines
-                        migration_emergency = decision.emergency
-                        migration_started = float(t + 1)
-                        moves_started += 1
-                        if decision.emergency:
-                            emergencies += 1
-                        if recording:
-                            tel.events.emit(
-                                "migration.start",
-                                time=migration_started,
-                                before=machines,
-                                after=migration_target,
-                                emergency=decision.emergency,
-                                reason=decision.reason,
-                                rate_kbps=migration_rate,
-                                est_seconds=migration.total_seconds,
+                        if recording and target > machines:
+                            chron.record(
+                                "node.add",
+                                time=float(t + 1),
+                                parent=move.record_id,
+                                nodes=list(active[-(target - machines):]),
                             )
-                            rec = chron.record(
-                                "migration.start",
-                                time=migration_started,
-                                parent=getattr(decision, "record_id", None),
-                                before=migration_before,
-                                after=migration_target,
-                                emergency=decision.emergency,
-                                reason=decision.reason,
-                                rate_kbps=migration_rate,
-                                est_seconds=migration.total_seconds,
-                                slot=len(history) - 1,
-                            )
-                            move_rec_id = rec.get("id")
-                            if migration_target > migration_before:
-                                chron.record(
-                                    "node.add",
-                                    time=migration_started,
-                                    parent=move_rec_id,
-                                    nodes=list(
-                                        active[
-                                            -(migration_target
-                                              - migration_before):
-                                        ]
-                                    ),
-                                )
                         strategy.notify_move_started(target)
                         if injector is not None:
                             injector.notify_migration_started(float(t + 1))
@@ -530,7 +470,7 @@ class ElasticDbSimulator:
                     migration.migrating_machines()
                 )
                 interference = self._interference(
-                    total_partitions, busy_machines, migration_rate
+                    total_partitions, busy_machines, move.rate_kbps
                 )
                 out_machines[t] = migration.machines_allocated()
                 out_migrating[t] = True
@@ -633,39 +573,15 @@ class ElasticDbSimulator:
                         for machine in retiring:
                             active.remove(machine)
                         retiring = []
-                    if recording:
-                        now = float(t + 1)
-                        tel.events.emit(
-                            "migration.complete",
-                            time=now,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
-                        )
-                        tel.metrics.histogram(
-                            "migrate.duration_seconds",
-                            bounds=tuple(float(2 ** i) for i in range(24)),
-                        ).observe(now - migration_started)
-                        if retired:
-                            chron.record(
-                                "node.remove",
-                                time=now,
-                                parent=move_rec_id,
-                                nodes=retired,
-                                reason="scale-in",
-                            )
+                    if recording and retired:
                         chron.record(
-                            "migration.complete",
+                            "node.remove",
                             time=now,
-                            parent=move_rec_id,
-                            before=migration_before,
-                            after=migration_target,
-                            seconds=now - migration_started,
-                            emergency=migration_emergency,
+                            parent=move.record_id,
+                            nodes=retired,
+                            reason="scale-in",
                         )
-                        move_rec_id = None
-                    machines = migration_target
+                    machines = move.complete(now)
                     migration = None
                     strategy.notify_move_finished(machines)
 
@@ -691,8 +607,8 @@ class ElasticDbSimulator:
             completed_tps=out_completed,
             machines=out_machines,
             migrating=out_migrating,
-            emergencies=emergencies,
-            moves_started=moves_started,
+            emergencies=move.emergencies,
+            moves_started=move.moves_started,
             sla_ms=config.sla_latency_ms,
         )
 
@@ -729,18 +645,17 @@ class ElasticDbSimulator:
                 end = min(end, int(math.floor(t + horizon - 1e-9)) + 1)
         return max(end, t)
 
-    def _start_move(
-        self, active: List[int], before: int, after: int, rate_kbps: float,
+    def _place_move(
+        self, active: List[int], before: int, after: int,
         excluded: Sequence[int] = (),
     ):
-        """Build the migration and its logical->physical machine map.
+        """The move's logical->physical machine map and retiring nodes.
 
         Scale-out activates the lowest inactive machine indices; scale-in
         retires the highest active ones (drained just-in-time by the
         reversed schedule).  ``excluded`` machines (crashed) are never
         re-activated.
         """
-        schedule = build_migration_schedule(before, after)
         if after > before:
             inactive = [
                 m for m in range(self.max_machines)
@@ -762,15 +677,7 @@ class ElasticDbSimulator:
             node_map = {
                 i: m for i, m in enumerate(survivors + retiring)
             }
-        migration = ActiveMigration(
-            schedule=schedule,
-            database_kb=self.config.database_kb,
-            rate_kbps=rate_kbps,
-            partitions_per_node=self.config.partitions_per_node,
-            chunk_kb=self.chunk_kb,
-            node_map=node_map,
-        )
-        return migration, retiring
+        return node_map, retiring
 
     def _interference(
         self,

@@ -9,6 +9,10 @@ from repro.errors import InvariantViolation, SimulationError
 from repro.telemetry import Telemetry, telemetry_scope
 
 
+#: One fig12 day (288 slots) is enough for SPAR to scale out and in.
+SHORT_REPLAY = (("spar", 0.45, 1),)
+
+
 class TestCheckLevels:
     def test_cheap_tier_is_the_default(self):
         assert invariants.check_level() == invariants.CHEAP
@@ -136,6 +140,26 @@ class TestDifferentialSuites:
         assert report.ok, report.describe()
         assert all(c.tolerance == 0.0 for c in report.checks)
 
+    def test_serve_replay_pins_serve_to_capacity_sim(self):
+        report = differential.diff_serve_replay(cases=SHORT_REPLAY)
+        assert report.ok, report.describe()
+        assert all(c.tolerance == 0.0 for c in report.checks)
+        names = [c.name for c in report.checks]
+        assert "serve-replay.spar@0.45.scale-out-and-in-exercised" in names
+        assert "serve-replay.spar@0.45.chronicle-projection" in names
+
+    def test_perturbed_serve_replay_is_caught_and_logged(self):
+        tel = Telemetry()
+        with telemetry_scope(tel):
+            report = differential.diff_serve_replay(
+                cases=SHORT_REPLAY, perturb=True
+            )
+        assert [c.name for c in report.failures] == [
+            "serve-replay.spar@0.45.eff_cap"
+        ]
+        events = tel.events.by_kind("check.divergence")
+        assert [e["name"] for e in events] == ["serve-replay.spar@0.45.eff_cap"]
+
     def test_run_suite_rejects_unknown_names(self):
         with pytest.raises(SimulationError, match="unknown differential"):
             differential.run_suite(suites=("bogus",))
@@ -214,6 +238,19 @@ class TestCheckCli:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_cli_accepts_every_suite_and_injection(self):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        for suite in differential.SUITES:
+            assert parser.parse_args(["check", "--suite", suite]).suite == [
+                suite
+            ]
+        for inject in differential.INJECTIONS:
+            assert parser.parse_args(["check", "--inject", inject]).inject == (
+                inject
+            )
 
     def test_divergence_lands_in_exported_event_log(self, tmp_path):
         from repro.cli import main

@@ -245,6 +245,104 @@ class TestSweepExecutor:
         assert report.hits == len(specs)
 
 
+def _probe_cell(spec, config):
+    """Cell runner that reports whether it ran under live telemetry."""
+    from repro.telemetry import get_telemetry
+
+    return {"telemetry_enabled": get_telemetry().enabled}
+
+
+def _register_probe():
+    from repro.experiments.registry import ExperimentDef, register
+
+    register(
+        ExperimentDef(
+            name="telemetry-probe",
+            title="telemetry probe",
+            module=__name__,
+            run_cell="_probe_cell",
+        )
+    )
+
+
+class TestCellTelemetry:
+    """Cells swept without ``record_events`` run with telemetry off."""
+
+    def probe_specs(self):
+        return [
+            RunSpec(experiment="telemetry-probe", cell=f"c{seed}", seed=seed)
+            for seed in (1, 2)
+        ]
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        from repro.experiments import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        _register_probe()
+
+    def test_serial_cell_sees_null_telemetry(self, probe, tmp_path):
+        report = SweepExecutor(
+            default_config(), ResultCache(tmp_path), jobs=1, backend="serial"
+        ).run(self.probe_specs())
+        assert [c.payload["telemetry_enabled"] for c in report.cells] == [
+            False, False,
+        ]
+
+    def test_process_worker_sees_null_telemetry(self, probe):
+        import multiprocessing as mp
+
+        from repro.runner.executor import _execute_cell
+
+        tasks = [
+            (i, spec.to_dict(), default_config().to_dict(), False)
+            for i, spec in enumerate(self.probe_specs())
+        ]
+        ctx = mp.get_context("spawn")
+        with ctx.Pool(processes=1, initializer=_register_probe) as pool:
+            results = pool.map_async(_execute_cell, tasks).get(timeout=120)
+        assert [r[-1] for r in results] == [None, None]
+        assert [r[1]["telemetry_enabled"] for r in results] == [False, False]
+
+    def test_tensor_builder_sees_null_telemetry(self, monkeypatch, tmp_path):
+        from repro.experiments import registry, tensmoke
+        from repro.telemetry import get_telemetry
+
+        seen = []
+
+        def builder(spec, config):
+            seen.append(get_telemetry().enabled)
+            return tensmoke.tensor_cell(spec, config)
+
+        monkeypatch.setattr(tensmoke, "probe_tensor_cell", builder,
+                            raising=False)
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        registry.register(
+            registry.ExperimentDef(
+                name="tensmoke", title="tensmoke", module=tensmoke.__name__,
+                grid="grid", run_cell="run_cell",
+                tensor_cell="probe_tensor_cell",
+            )
+        )
+        specs = tensmoke.grid(strategies=("static:4",), seeds=(7, 11))
+        SweepExecutor(
+            default_config(), ResultCache(tmp_path), backend="tensor"
+        ).run(specs)
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_result_hash_independent_of_record_events(self, tmp_path, jobs):
+        specs = smoke_specs()
+        quiet, recorded = (
+            SweepExecutor(
+                default_config(), ResultCache(tmp_path / str(flag)),
+                jobs=jobs, record_events=flag,
+            ).run(specs)
+            for flag in (False, True)
+        )
+        assert quiet.result_hash == recorded.result_hash
+
+
 class TestRegistry:
     def test_every_experiment_registered(self):
         names = experiment_names()

@@ -190,12 +190,12 @@ class TestComponentStateRoundTrips:
         second.restore_state(first.state_dict())
         assert second.migrating
         np.testing.assert_array_equal(
-            second._migration.data_fractions(),
-            first._migration.data_fractions(),
+            second.move.migration.data_fractions(),
+            first.move.migration.data_fractions(),
         )
         assert (
-            second._migration.machines_allocated()
-            == first._migration.machines_allocated()
+            second.move.migration.machines_allocated()
+            == first.move.migration.machines_allocated()
         )
         # And they keep evolving identically.
         history.append(30000.0)
