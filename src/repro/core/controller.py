@@ -112,6 +112,9 @@ class PredictiveController:
         self._scale_in_streak = 0
         self._last_schedule: Optional[MoveSchedule] = None
         self._last_snapshot_id: Optional[str] = None
+        #: Machines the infeasible plan asked for, filed on the emergency
+        #: ``plan.decision`` record.
+        self._required_machines: Optional[int] = None
         #: When set, the next ``plan.decision`` chronicle record parents on
         #: this ID instead of the forecast snapshot — the error-triggered
         #: re-plan path (``repro.serve``) points it at the
@@ -167,6 +170,10 @@ class PredictiveController:
                 tel.metrics.gauge("controller.scale_in_streak").set(
                     self._scale_in_streak
                 )
+                extra = (
+                    {"required_machines": self._required_machines}
+                    if decision.emergency else {}
+                )
                 rec = tel.chronicle.record(
                     "plan.decision",
                     time=float(len(history)) * self.config.interval_seconds,
@@ -178,6 +185,7 @@ class PredictiveController:
                     emergency=decision.emergency,
                     rate_multiplier=decision.rate_multiplier,
                     machines=current_machines,
+                    **extra,
                 )
                 decision = replace(decision, record_id=rec.get("id"))
         return decision
@@ -219,15 +227,6 @@ class PredictiveController:
         inflated = forecast * self.config.prediction_inflation
         measured_now = float(history[-1]) if current_load is None else current_load
         if tel.enabled:
-            tel.events.emit(
-                "forecast",
-                history_len=len(history),
-                measured_now=measured_now,
-                predicted_next=float(forecast[0]),
-                inflated_next=float(inflated[0]),
-                predicted_peak=float(inflated.max()),
-                horizon=self.horizon_intervals,
-            )
             # Chronicle + accuracy: the forecast is made right after
             # observing slot ``len(history) - 1``, so predicted[i]
             # targets absolute slot ``len(history) + i`` (tau = i + 1).
@@ -286,13 +285,7 @@ class PredictiveController:
                 target = min(target, self.config.max_machines)
             if target == current_machines:
                 return Decision(reason="infeasible-but-at-size")
-            if tel.enabled:
-                tel.events.emit(
-                    "controller.emergency",
-                    required_machines=infeasible.required_machines,
-                    target_machines=target,
-                    rate_multiplier=self.emergency_rate_multiplier,
-                )
+            self._required_machines = infeasible.required_machines
             return Decision(
                 target_machines=target,
                 emergency=True,

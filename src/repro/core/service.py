@@ -43,14 +43,12 @@ from ..telemetry import get_telemetry
 class ServiceEvent:
     """One provisioning action taken by the service (for auditing).
 
-    The structured telemetry event log
-    (:class:`repro.telemetry.events.EventLog`) subsumes this record —
-    every ServiceEvent is mirrored there as a ``service.<kind>`` event
-    with the same fields and as a ``service.<kind>`` chronicle record
-    with a causal parent — the plain list is kept as a thin
-    backwards-compatible view.  ``record_id`` is the chronicle ID the
-    event was filed under (None when telemetry is disabled), so audit
-    entries can be joined against ``pstore explain`` chains."""
+    When telemetry is enabled every ServiceEvent is filed in the causal
+    chronicle as a ``service.<kind>`` record with the same fields and a
+    causal parent; the plain list is a thin view that also works with
+    telemetry off.  ``record_id`` is the chronicle ID the event was
+    filed under (None when telemetry is disabled), so audit entries can
+    be joined against ``pstore explain`` chains."""
 
     time: float
     kind: str          # "scale-out" | "scale-in" | "emergency" | "rebalance"
@@ -140,8 +138,8 @@ class PStoreService:
     def _record_event(
         self, kind: str, detail: str, parent: Optional[str] = None, **fields
     ) -> None:
-        """File the action in the chronicle and mirror it into the
-        telemetry event log; the ``events`` list keeps a thin view."""
+        """File the action in the chronicle; the ``events`` list keeps a
+        thin view."""
         tel = self._telemetry
         record_id: Optional[str] = None
         if tel.enabled:
@@ -150,8 +148,6 @@ class PStoreService:
                 detail=detail, **fields,
             )
             record_id = rec.get("id")
-            tel.events.emit(f"service.{kind}", time=self._now, detail=detail,
-                            **fields)
             tel.metrics.counter("service.events", kind=kind).inc()
         self.events.append(
             ServiceEvent(time=self._now, kind=kind, detail=detail,

@@ -8,7 +8,7 @@ drive it with two calls — :meth:`advance` (simulated clock) and
 currently-active effects (stalls, stragglers, drift, crashes) through
 side-effect-free accessors.  Every lifecycle step is appended to an
 always-on :attr:`chronicle` (the deterministic audit log chaos tests
-compare across runs) and mirrored into telemetry when enabled.
+compare across runs) and filed in the telemetry chronicle when enabled.
 
 Determinism: all firing decisions and random choices come from one
 ``numpy`` generator seeded by the scenario, and time only enters through
@@ -88,7 +88,7 @@ class FaultInjector:
     seed:
         overrides the scenario's seed when given.
     telemetry:
-        bundle to mirror lifecycle events into; defaults to the
+        bundle whose chronicle records lifecycle steps; defaults to the
         process-global one at construction time.
     """
 
@@ -291,11 +291,8 @@ class FaultInjector:
         self.chronicle.append(entry)
         tel = self._telemetry
         if tel.enabled:
-            # the event's own kind is the lifecycle step; the fault class
+            # the record's own kind is the lifecycle step; the fault class
             # rides along as fault_kind
-            mirrored = {k: v for k, v in entry.items() if k != "event"}
-            mirrored["fault_kind"] = mirrored.pop("kind")
-            tel.events.emit(event, **mirrored)
             rec = tel.chronicle.record(
                 event,
                 time=time,

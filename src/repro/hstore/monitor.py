@@ -29,11 +29,10 @@ from .cluster import Cluster
 class LoadMonitor:
     """Aggregates a stream of transaction counts into interval rates.
 
-    When telemetry is enabled, every counted interval is published as a
-    ``monitor.window`` span plus an ``interval`` event (both in
-    simulated time), runs of *empty* intervals are batched into a single
-    ``monitor.gap`` span and ``interval.gap`` event (O(1) per
-    observation, not O(gap)), and the latest rate is mirrored to the
+    When telemetry is enabled, every counted interval is published as an
+    ``interval`` event (in simulated time), runs of *empty* intervals are
+    batched into a single ``interval.gap`` event (O(1) per observation,
+    not O(gap)), and the latest rate is mirrored to the
     ``monitor.load_tps`` gauge.
 
     Interval boundaries are derived as ``start_time + k *
@@ -107,14 +106,10 @@ class LoadMonitor:
             tel = self._telemetry
             # Close the open interval with whatever it counted...
             rate = self._current_count / self.interval_seconds
-            start = self._interval_start
             self._rates.append(rate)
             if tel.enabled:
                 slot = len(self._rates) - 1
                 end = self._boundary(self._closed + 1)
-                tel.tracer.record(
-                    "monitor.window", start, end, slot=slot, tps=rate,
-                )
                 tel.events.emit("interval", time=end, slot=slot, tps=rate)
                 tel.metrics.gauge("monitor.load_tps").set(rate)
                 tel.accuracy.observe(slot, rate, time=end)
@@ -124,12 +119,7 @@ class LoadMonitor:
                 first_empty = len(self._rates)
                 self._rates.extend([0.0] * gap)
                 if tel.enabled:
-                    gap_start = self._boundary(self._closed + 1)
                     gap_end = self._boundary(self._closed + closed)
-                    tel.tracer.record(
-                        "monitor.gap", gap_start, gap_end,
-                        first_slot=first_empty, intervals=gap,
-                    )
                     tel.events.emit(
                         "interval.gap", time=gap_end,
                         first_slot=first_empty, intervals=gap, tps=0.0,

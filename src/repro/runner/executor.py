@@ -191,6 +191,7 @@ class SweepReport:
         import pathlib
 
         from ..telemetry.causal import CHRONICLE_SCHEMA
+        from ..telemetry.export import EVENTS_SCHEMA
 
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +202,7 @@ class SweepReport:
         events_path = out / "events.jsonl"
         with events_path.open("w") as handle:
             handle.write(
-                json.dumps({"schema": "pstore.events/v1", "merged": True})
+                json.dumps({"schema": EVENTS_SCHEMA, "merged": True})
                 + "\n"
             )
             for cell in self.cells:

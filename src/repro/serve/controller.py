@@ -315,6 +315,11 @@ class OnlineController:
             if breach is None:
                 return
             self.trigger_fires += 1
+            # Refitting files no chronicle record, so it can run first and
+            # the breach record can say whether it happened.
+            refitted = False
+            if isinstance(self.predictor, OnlinePredictor):
+                refitted = self.predictor.refit_now()
             fa_id: Optional[str] = None
             if tel.enabled:
                 rec = tel.chronicle.record(
@@ -328,20 +333,11 @@ class OnlineController:
                     threshold_pct=breach["threshold_pct"],
                     pairs=stats.get("pairs_window") if stats else None,
                     action="refit-replan-fallback",
+                    refitted=refitted,
                 )
                 fa_id = rec.get("id")
-                tel.events.emit(
-                    "serve.trigger",
-                    time=now,
-                    metric=breach["metric"],
-                    value_pct=breach["value_pct"],
-                    threshold_pct=breach["threshold_pct"],
-                )
                 tel.metrics.counter("serve.trigger_fired").inc()
             self._fa_record_id = fa_id
-            refitted = False
-            if isinstance(self.predictor, OnlinePredictor):
-                refitted = self.predictor.refit_now()
             # The unscheduled re-plan: run the predictive cycle right now
             # with the (possibly refit) model, parenting its decision on
             # the accuracy record, then drop to reactive while the
@@ -355,13 +351,6 @@ class OnlineController:
                 )
             self.mode = "reactive"
             self._reactive.reset(self.machines)
-            if tel.enabled:
-                tel.events.emit(
-                    "serve.mode",
-                    time=now,
-                    mode="reactive",
-                    refitted=refitted,
-                )
         elif self.mode == "reactive":
             # Shadow-forecast so the tracker keeps scoring the refit
             # model on live traffic; without it the window goes stale
@@ -381,7 +370,6 @@ class OnlineController:
                         mape_pct=stats.get("mape_pct") if stats else None,
                         bias_pct=stats.get("bias_pct") if stats else None,
                     )
-                    tel.events.emit("serve.mode", time=now, mode="predictive")
                     tel.metrics.counter("serve.trigger_recovered").inc()
                 self._fa_record_id = None
 

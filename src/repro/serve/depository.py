@@ -144,9 +144,6 @@ class Depository:
                 )
                 stale_id = stale_rec.get("id")
                 tel.metrics.counter("serve.nodes_evicted").inc()
-                tel.events.emit(
-                    "node.stale", time=last_clock, node=node,
-                )
             self._evicted[node] = stale_id
 
     def flush(self) -> int:

@@ -152,7 +152,8 @@ class CapacitySimulator:
             history.append(float(load_tps[slot]))
             if recording:
                 # history may be pre-seeded with the training window;
-                # forecast events key on history length, so use it as slot.
+                # forecast snapshots key on history length, so use it
+                # as slot.
                 tel.events.emit(
                     "interval",
                     time=(slot + 1) * slot_seconds,

@@ -305,12 +305,6 @@ class ElasticDbSimulator:
                     machines = len(active)
                     pending_recovery.append(record)
                     if recording:
-                        tel.events.emit(
-                            "sim.node-down",
-                            time=float(t),
-                            node=victim,
-                            machines=machines,
-                        )
                         chron.record(
                             "node.remove",
                             time=float(t),

@@ -55,6 +55,9 @@ CHUNK_SPACING_SECONDS = chunk_spacing_seconds(
     DEFAULT_CHUNK_KB, DEFAULT_MIGRATION_RATE_KBPS
 )
 
+#: Bucket bounds of the ``migrate.duration_seconds`` histogram.
+DURATION_BOUNDS = tuple(float(2 ** i) for i in range(24))
+
 
 class ActiveMigration:
     """One in-flight reconfiguration, advanced in simulated time.
@@ -310,7 +313,7 @@ class ClusterMigrator:
         self._pair_buckets: Dict[Tuple[int, int], List[BucketMove]] = {}
         self._retiring_nodes: List[int] = []
         #: Cumulative simulated seconds this migrator has been advanced;
-        #: the timeline used for migrate.round spans and duration metrics.
+        #: the timeline used for migration.round records and durations.
         self._sim_time = 0.0
         self._move_started_at = 0.0
         self._move_before = 0
@@ -416,15 +419,6 @@ class ClusterMigrator:
         self._reset_fault_state()
         tel = self._telemetry
         if tel.enabled:
-            tel.events.emit(
-                "migration.start",
-                time=self._sim_time,
-                before=before,
-                after=after,
-                rate_kbps=rate_kbps,
-                rounds=schedule.n_rounds,
-                est_seconds=self._active.total_seconds,
-            )
             tel.metrics.counter("migrate.moves_started").inc()
             rec = tel.chronicle.record(
                 "migration.start",
@@ -506,15 +500,6 @@ class ClusterMigrator:
         self.aborted_moves += 1
         tel = self._telemetry
         if tel.enabled:
-            tel.events.emit(
-                "migration.aborted",
-                time=self._sim_time,
-                before=self._move_before,
-                after=self._move_after,
-                reason=reason,
-                elapsed=self._sim_time - self._move_started_at,
-                rolled_back_fraction=rolled_back,
-            )
             tel.metrics.counter("migrate.moves_aborted").inc()
             tel.chronicle.record(
                 "migration.aborted",
@@ -572,13 +557,6 @@ class ClusterMigrator:
             # window on the simulated timeline (re-sends stretch it).
             end = min(self._round_started_at + round_seconds, self._sim_time)
             end = max(end, self._round_started_at)
-            tel.tracer.record(
-                "migrate.round",
-                self._round_started_at,
-                end,
-                round=self._rounds_committed,
-                transfers=len(round_),
-            )
             tel.chronicle.record(
                 "migration.round",
                 time=end,
@@ -682,16 +660,8 @@ class ClusterMigrator:
         if not tel.enabled:
             return
         seconds = self._sim_time - self._move_started_at
-        tel.events.emit(
-            "migration.complete",
-            time=self._sim_time,
-            before=self._move_before,
-            after=self._move_after,
-            seconds=seconds,
-        )
         tel.metrics.histogram(
-            "migrate.duration_seconds",
-            bounds=tuple(float(2 ** i) for i in range(24)),
+            "migrate.duration_seconds", bounds=DURATION_BOUNDS
         ).observe(seconds)
         if self._retiring_nodes:
             # _finish() decommissions these right after; chronicle them

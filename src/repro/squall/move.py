@@ -27,11 +27,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 from ..config import DEFAULT_CHUNK_KB, PStoreConfig
-from .migrator import ActiveMigration
+from .migrator import DURATION_BOUNDS, ActiveMigration
 from .schedule import build_migration_schedule
-
-#: Bucket bounds of the ``migrate.duration_seconds`` histogram.
-DURATION_BOUNDS = tuple(float(2 ** i) for i in range(24))
 
 
 class MoveTracker:
@@ -111,20 +108,16 @@ class MoveTracker:
             self.emergencies += 1
         tel = self._telemetry
         if tel.enabled:
-            fields = dict(
+            rec = tel.chronicle.record(
+                "migration.start",
+                time=now,
+                parent=getattr(decision, "record_id", None),
                 before=before,
                 after=target,
                 emergency=decision.emergency,
                 reason=decision.reason,
                 rate_kbps=rate_kbps,
                 est_seconds=self.migration.total_seconds,
-            )
-            tel.events.emit("migration.start", time=now, **fields)
-            rec = tel.chronicle.record(
-                "migration.start",
-                time=now,
-                parent=getattr(decision, "record_id", None),
-                **fields,
                 slot=slot,
             )
             self.record_id = rec.get("id")
@@ -160,19 +153,13 @@ class MoveTracker:
         tel = self._telemetry
         if tel.enabled:
             seconds = now - self.started
-            fields = dict(
-                before=self.before,
-                after=self.target,
-                seconds=seconds,
-                emergency=self.emergency,
-            )
-            tel.events.emit("migration.complete", time=now, **fields)
             tel.metrics.histogram(
                 "migrate.duration_seconds", bounds=DURATION_BOUNDS
             ).observe(seconds)
             tel.chronicle.record(
                 "migration.complete", time=now, parent=self.record_id,
-                **fields,
+                before=self.before, after=self.target, seconds=seconds,
+                emergency=self.emergency,
             )
         target = self.target
         self._clear()
@@ -189,7 +176,6 @@ class MoveTracker:
             )
         tel = self._telemetry
         if tel.enabled:
-            tel.events.emit("migration.aborted", time=now, **fields)
             tel.chronicle.record(
                 "migration.aborted", time=now, parent=self.record_id,
                 **fields,
@@ -207,14 +193,15 @@ class MoveTracker:
             "rate_kbps": self.rate_kbps,
             "half_steps": self.half_steps,
             "move_rec_id": self.record_id,
+            "emergency": self.emergency,
         }
 
     def restore_state(self, doc: Optional[dict]) -> None:
         """Rebuild from :meth:`state_dict` output by replaying the
         checkpointed half steps on a fresh migration.
 
-        The checkpoint does not carry the emergency flag, so a restored
-        move completes with ``emergency=False``.
+        Checkpoints written before the emergency flag was stored restore
+        it as ``False``.
         """
         if doc is None:
             self._clear()
@@ -224,6 +211,7 @@ class MoveTracker:
             float(doc["rate_kbps"]),
         )
         self.record_id = doc.get("move_rec_id")
+        self.emergency = bool(doc.get("emergency", False))
         half = self.config.interval_seconds / 2.0
         steps = int(doc.get("half_steps", 0))
         for _ in range(steps):

@@ -1,18 +1,21 @@
 """Observability for the predict -> plan -> migrate control loop.
 
-Three coordinated primitives:
+Each fact is recorded once, in the stream that owns it:
 
+* :mod:`repro.telemetry.causal` — the chronicle of decisions, actions,
+  faults and violations, each linked to its causal parent;
+* :mod:`repro.telemetry.events` — per-interval samples (``interval``,
+  ``machines``, ...) and check findings;
+* :mod:`repro.telemetry.tracing` — wall-clock spans with parent/child
+  linkage, one root span per controller cycle;
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
-  streaming histograms in a label-aware registry;
-* :mod:`repro.telemetry.tracing` — wall-clock and simulated-time spans
-  with parent/child linkage, one root span per controller cycle;
-* :mod:`repro.telemetry.events` — the structured JSONL event log of
-  provisioning actions, measurements, and forecasts.
+  streaming histograms in a label-aware registry.
 
-:mod:`repro.telemetry.runtime` bundles the three behind a process-global
+:mod:`repro.telemetry.runtime` bundles them behind a process-global
 default that is a no-op until :func:`enable_telemetry` is called, and
-:mod:`repro.telemetry.export` turns a finished run into ``events.jsonl``,
-``spans.jsonl``, ``metrics.json``, and an ASCII dashboard.
+:mod:`repro.telemetry.export` turns a finished run into
+``chronicle.jsonl``, ``events.jsonl``, ``spans.jsonl``,
+``metrics.json``, and an ASCII dashboard.
 
 See docs/OBSERVABILITY.md for metric names, the span hierarchy, and the
 artifact file formats.

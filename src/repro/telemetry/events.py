@@ -1,27 +1,22 @@
-"""Structured event log: the provisioning audit trail as JSONL rows.
+"""Structured event log: per-interval samples and check findings as JSONL.
 
-Every provisioning action, interval measurement, and forecast is one
-flat dict with a ``kind``, a monotone sequence number, an optional
-simulated ``time``, and free-form fields.  This subsumes
-:class:`repro.core.service.ServiceEvent` (kept for backwards
-compatibility) and extends it to the simulators, which previously had
-no audit trail at all.
+Each event is one flat dict with a ``kind``, a monotone sequence number,
+an optional simulated ``time``, and free-form fields.  The log holds
+only facts no other stream records; decisions, actions and faults go to
+the causal chronicle (:mod:`repro.telemetry.causal`) and wall time to
+spans (:mod:`repro.telemetry.tracing`).
 
-Well-known kinds (see docs/OBSERVABILITY.md for schemas):
+The kinds (see docs/OBSERVABILITY.md for schemas):
 
-``interval``
-    one closed measurement interval: ``slot``, ``tps``;
-``forecast``
-    one controller forecast: ``history_len``, ``measured_now``,
-    ``predicted_next``, ``inflated_next``, ``horizon``;
-``migration.start`` / ``migration.complete``
-    reconfiguration lifecycle: ``before``, ``after``, ``rate_kbps`` /
-    ``seconds``;
+``interval`` / ``interval.gap``
+    one closed measurement interval (``slot``, ``tps``) / a run of empty
+    intervals (``first_slot``, ``intervals``);
 ``machines``
     per-slot allocation sample: ``slot``, ``machines``, ``migrating``;
-``service.*``
-    provisioning actions of :class:`~repro.core.service.PStoreService`
-    (``service.scale-out``, ``service.emergency``, ...).
+``sweep.cell``
+    one executed sweep cell: ``label``, ``key``, ``seconds``, ``worker``;
+``check.divergence`` / ``invariant.violation``
+    findings of the differential checks and runtime invariants.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Run-artifact exporters: JSONL dumps, metrics snapshots, dashboards.
 
-One instrumented run produces three machine-readable artifacts
-(``pstore simulate --telemetry-out run1/``):
+One instrumented run produces its artifacts
+(``pstore simulate --telemetry-out run1/``) with each fact in one file:
 
+``chronicle.jsonl``
+    decisions, actions, faults and violations, each with a causal
+    parent (forecast snapshots, plan decisions, migration lifecycle);
 ``events.jsonl``
-    the structured event log, one JSON object per line;
+    per-interval samples and check findings, one JSON object per line;
 ``spans.jsonl``
-    every recorded span (wall-clock and simulated-time), one per line;
+    wall-clock spans, one per line;
 ``metrics.json``
     the final metric snapshot plus derived summaries: the
     forecast-vs-actual series with its MAPE, per-reconfiguration
@@ -31,8 +34,8 @@ from .causal import CHRONICLE_SCHEMA
 
 #: Version tags written into every artifact so later PRs can evolve the
 #: schemas without breaking old readers.
-EVENTS_SCHEMA = "pstore.events/v1"
-SPANS_SCHEMA = "pstore.spans/v1"
+EVENTS_SCHEMA = "pstore.events/v2"
+SPANS_SCHEMA = "pstore.spans/v2"
 METRICS_SCHEMA = "pstore.metrics/v1"
 
 
@@ -64,12 +67,12 @@ def write_jsonl(rows: List[dict], path) -> pathlib.Path:
 
 
 def forecast_vs_actual(telemetry) -> List[dict]:
-    """Align ``forecast`` events with the ``interval`` measurements they
-    predicted.
+    """Align ``forecast.snapshot`` records with the ``interval``
+    measurements they predicted.
 
-    A forecast emitted with ``history_len = h`` predicts the next
-    interval, i.e. the measurement with ``slot == h``; pairs whose
-    measurement never arrived (end of run) are dropped.
+    A snapshot taken after observing ``origin_slot`` predicts the next
+    interval, i.e. the measurement with ``slot == origin_slot + 1``;
+    pairs whose measurement never arrived (end of run) are dropped.
     """
     measured = {
         e["slot"]: e["tps"]
@@ -77,15 +80,15 @@ def forecast_vs_actual(telemetry) -> List[dict]:
         if e.get("slot") is not None
     }
     pairs: List[dict] = []
-    for event in telemetry.events.by_kind("forecast"):
-        slot = event.get("history_len")
-        if slot is None or slot not in measured:
+    for snap in telemetry.chronicle.by_kind("forecast.snapshot"):
+        slot = snap["origin_slot"] + 1
+        if slot not in measured:
             continue
         pairs.append(
             {
                 "slot": slot,
-                "predicted": event.get("predicted_next"),
-                "inflated": event.get("inflated_next"),
+                "predicted": snap["predicted_next"],
+                "inflated": snap["inflated_next"],
                 "actual": measured[slot],
             }
         )
@@ -105,7 +108,7 @@ def forecast_mape(pairs: List[dict]) -> Optional[float]:
 
 
 def migration_summary(telemetry) -> List[dict]:
-    """One row per completed reconfiguration (from the event log)."""
+    """One row per completed reconfiguration (from the chronicle)."""
     return [
         {
             "time": e.get("time"),
@@ -114,7 +117,7 @@ def migration_summary(telemetry) -> List[dict]:
             "seconds": e.get("seconds"),
             "emergency": e.get("emergency", False),
         }
-        for e in telemetry.events.by_kind("migration.complete")
+        for e in telemetry.chronicle.by_kind("migration.complete")
     ]
 
 
@@ -196,10 +199,7 @@ def write_metrics_json(telemetry, path) -> pathlib.Path:
 
 def write_chronicle_jsonl(telemetry, path) -> pathlib.Path:
     """The causal chronicle (flight-recorder records) as JSONL."""
-    chronicle = getattr(telemetry, "chronicle", None)
-    rows = [{"schema": CHRONICLE_SCHEMA}]
-    if chronicle is not None:
-        rows += chronicle.snapshot()
+    rows = [{"schema": CHRONICLE_SCHEMA}] + telemetry.chronicle.snapshot()
     return write_jsonl(rows, path)
 
 

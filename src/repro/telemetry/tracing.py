@@ -1,16 +1,12 @@
-"""Span recording for the monitor -> predict -> plan -> migrate loop.
+"""Wall-time span recording for the monitor -> predict -> plan -> migrate loop.
 
 A :class:`Span` is one timed operation with free-form attributes; the
 :class:`SpanRecorder` maintains a stack so spans opened inside an open
 span become its children (``parent_id`` linkage, as in OpenTelemetry).
-Two clocks coexist:
-
-* ``span(...)`` context managers measure *wall time* (``time.perf_counter``
-  deltas on top of a ``time.time`` epoch) — what the controller's
-  per-cycle cost accounting needs;
-* ``record(...)`` writes a span with caller-supplied start/end, used by
-  the simulators to log *simulated-time* operations such as migration
-  rounds, where wall time is meaningless.
+Spans measure *wall time* only (``time.perf_counter`` deltas on top of a
+``time.time`` epoch) — what the controller's per-cycle cost accounting
+needs.  Simulated-time facts live elsewhere: migration rounds in the
+causal chronicle, measurement intervals in the event log.
 
 The :class:`NullRecorder` twin keeps instrumented code branch-free:
 ``with tracer.span(...)`` costs one method call and a shared no-op
@@ -34,7 +30,6 @@ class Span:
     name: str
     start: float
     end: Optional[float] = None
-    clock: str = "wall"
     attrs: Dict[str, object] = field(default_factory=dict)
 
     def set(self, key: str, value: object) -> None:
@@ -53,7 +48,6 @@ class Span:
             "start": self.start,
             "end": self.end,
             "duration": self.duration,
-            "clock": self.clock,
             "attrs": self.attrs,
         }
 
@@ -66,19 +60,6 @@ class SpanRecorder:
         self._stack: List[Span] = []
         self._next_id = 1
 
-    def _new_span(self, name: str, start: float, clock: str,
-                  parent_id: Optional[int], attrs: dict) -> Span:
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent_id,
-            name=name,
-            start=start,
-            clock=clock,
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        return span
-
     @property
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
@@ -89,7 +70,14 @@ class SpanRecorder:
         parent = self._stack[-1].span_id if self._stack else None
         wall_start = time.time()
         perf_start = time.perf_counter()
-        span = self._new_span(name, wall_start, "wall", parent, attrs)
+        span = Span(
+            span_id=self._next_id,
+            parent_id=parent,
+            name=name,
+            start=wall_start,
+            attrs=dict(attrs),
+        )
+        self._next_id += 1
         self._stack.append(span)
         try:
             yield span
@@ -103,23 +91,6 @@ class SpanRecorder:
             span.end = wall_start + (time.perf_counter() - perf_start)
             self._stack.pop()
             self.spans.append(span)
-
-    def record(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent_id: Optional[int] = None,
-        **attrs,
-    ) -> Span:
-        """Append a finished span with explicit (simulated) timestamps."""
-        span = self._new_span(name, start, "sim", parent_id, attrs)
-        span.end = end
-        self.spans.append(span)
-        return span
-
-    def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
 
     def snapshot(self) -> List[dict]:
         """Every span as a dict — including any still open on the stack
@@ -142,7 +113,6 @@ class _NullSpan:
     start = 0.0
     end = 0.0
     duration = 0.0
-    clock = "wall"
     attrs: Dict[str, object] = {}
 
     def set(self, key: str, value: object) -> None:
@@ -174,12 +144,6 @@ class NullRecorder:
 
     def span(self, name: str, **attrs) -> _NullSpanContext:
         return _NULL_SPAN_CONTEXT
-
-    def record(self, name, start, end, parent_id=None, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def by_name(self, name: str) -> List[Span]:
-        return []
 
     def snapshot(self) -> List[dict]:
         return []

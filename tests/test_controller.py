@@ -176,6 +176,23 @@ class TestEmergency:
         )
         assert decision.acts and decision.target_machines == 4
 
+    def test_emergency_decision_records_required_machines(self):
+        from repro.telemetry import Telemetry
+
+        cfg = default_config().with_interval(600.0)
+        q = cfg.q
+        tel = Telemetry()
+        for level in (2.0, 9.0):
+            ctrl = controller_for([q * level] * 50, cfg, horizon_intervals=6,
+                                  telemetry=tel)
+            ctrl.decide(flat_history(q * level), current_machines=3,
+                        current_load=q * level)
+        steady, emergency = tel.chronicle.by_kind("plan.decision")
+        assert "required_machines" not in steady
+        assert emergency["emergency"] is True
+        assert emergency["required_machines"] == 11  # ceil(9.0 * 1.15)
+        assert tel.events.snapshot() == []
+
     def test_no_emergency_when_already_at_required_size(self):
         cfg = default_config().with_interval(600.0)
         q = cfg.q

@@ -21,6 +21,7 @@ from repro.runner import (
     SweepExecutor,
     jsonify,
 )
+from repro.telemetry import EVENTS_SCHEMA
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -232,7 +233,7 @@ class TestSweepExecutor:
         assert manifest["result_hash"] == report.result_hash
         lines = Path(paths["events"]).read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["schema"] == "pstore.events/v1"
+        assert header["schema"] == EVENTS_SCHEMA
 
     def test_duplicate_keys_executed_once(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -515,8 +515,10 @@ class TestDriftScenario:
         ]
         assert breaches
         breach = breaches[0]
-        # The breach is evidence against a concrete forecast.
+        # The breach is evidence against a concrete forecast, and says
+        # whether the forced refit ran.
         assert by_id[breach["parent"]]["kind"] == "forecast.snapshot"
+        assert breach["refitted"] is True
         # And some decision was taken *because of* the breach.
         children = [r for r in chronicle if r.get("parent") == breach["id"]]
         assert any(r["kind"] == "plan.decision" for r in children)

@@ -149,20 +149,13 @@ class TestSpans:
         assert root.duration >= child.duration >= 0
         assert child.attrs["feasible"] is True
 
-    def test_sim_time_record(self):
-        tracer = SpanRecorder()
-        span = tracer.record("migrate.round", 100.0, 160.0, round=3)
-        assert span.clock == "sim"
-        assert span.duration == pytest.approx(60.0)
-        assert tracer.by_name("migrate.round") == [span]
-
     def test_snapshot_roundtrips_json(self):
         tracer = SpanRecorder()
         with tracer.span("cycle"):
             pass
         dumped = json.loads(json.dumps(tracer.snapshot()))
         assert dumped[0]["name"] == "cycle"
-        assert dumped[0]["clock"] == "wall"
+        assert dumped[0]["end"] >= dumped[0]["start"]
 
     def test_exception_flags_span_aborted(self):
         tracer = SpanRecorder()
@@ -261,14 +254,15 @@ class TestRuntime:
 def _synthetic_run() -> Telemetry:
     tel = Telemetry()
     for slot, (predicted, actual) in enumerate([(100.0, 110.0), (200.0, 190.0)]):
-        tel.events.emit("forecast", time=slot * 300.0, history_len=slot + 1,
-                        predicted_next=predicted)
-        tel.events.emit("interval", time=(slot + 1) * 300.0, slot=slot + 1,
+        tel.chronicle.record("forecast.snapshot", time=(slot + 1) * 300.0,
+                             origin_slot=slot, predicted_next=predicted,
+                             inflated_next=predicted * 1.15)
+        tel.events.emit("interval", time=(slot + 2) * 300.0, slot=slot + 1,
                         tps=actual)
-        tel.events.emit("machines", time=(slot + 1) * 300.0, slot=slot + 1,
+        tel.events.emit("machines", time=(slot + 2) * 300.0, slot=slot + 1,
                         machines=4 + slot, migrating=False)
-    tel.events.emit("migration.complete", time=900.0, before=4, after=5,
-                    seconds=420.0, emergency=False)
+    tel.chronicle.record("migration.complete", time=900.0, before=4, after=5,
+                         seconds=420.0, emergency=False)
     tel.metrics.histogram("engine.latency_ms").observe(12.0)
     return tel
 
@@ -280,6 +274,8 @@ class TestExport:
         assert len(pairs) == 2
         assert pairs[0]["predicted"] == 100.0
         assert pairs[0]["actual"] == 110.0
+        assert pairs[0]["slot"] == 1
+        assert pairs[0]["inflated"] == pytest.approx(115.0)
         mape = forecast_mape(pairs)
         expected = 100.0 * (10.0 / 110.0 + 10.0 / 190.0) / 2.0
         assert mape == pytest.approx(expected)
@@ -327,18 +323,20 @@ def simulate_artifacts(tmp_path_factory):
     spans = [json.loads(l) for l in
              (out / "spans.jsonl").read_text().splitlines()]
     metrics = json.loads((out / "metrics.json").read_text())
-    return events, spans, metrics
+    chronicle = [json.loads(l) for l in
+                 (out / "chronicle.jsonl").read_text().splitlines()]
+    return events, spans, metrics, chronicle
 
 
 class TestCliArtifacts:
     def test_schema_headers(self, simulate_artifacts):
-        events, spans, metrics = simulate_artifacts
+        events, spans, metrics, _ = simulate_artifacts
         assert events[0]["schema"] == EVENTS_SCHEMA
         assert spans[0]["schema"] == SPANS_SCHEMA
         assert metrics["schema"] == METRICS_SCHEMA
 
     def test_spans_cover_the_control_loop(self, simulate_artifacts):
-        _, spans, _ = simulate_artifacts
+        _, spans, _, _ = simulate_artifacts
         by_name = {}
         for span in spans[1:]:
             by_name.setdefault(span["name"], []).append(span)
@@ -354,18 +352,19 @@ class TestCliArtifacts:
         assert all(s["duration"] >= 0 for s in spans[1:])
 
     def test_events_cover_the_run(self, simulate_artifacts):
-        events, _, _ = simulate_artifacts
-        kinds = {e["kind"] for e in events[1:]}
-        assert {"interval", "forecast", "machines",
-                "migration.start", "migration.complete"} <= kinds
-        completes = [e for e in events[1:] if e["kind"] == "migration.complete"]
+        events, _, _, chronicle = simulate_artifacts
+        assert {"interval", "machines"} <= {e["kind"] for e in events[1:]}
+        records = chronicle[1:]
+        assert {"forecast.snapshot", "migration.start",
+                "migration.complete"} <= {r["kind"] for r in records}
+        completes = [r for r in records if r["kind"] == "migration.complete"]
         assert completes
-        assert all(e["seconds"] > 0 for e in completes)
-        starts = [e for e in events[1:] if e["kind"] == "migration.start"]
-        assert all("reason" in e for e in starts)
+        assert all(r["seconds"] > 0 for r in completes)
+        starts = [r for r in records if r["kind"] == "migration.start"]
+        assert all("reason" in r for r in starts)
 
     def test_metrics_derived_sections(self, simulate_artifacts):
-        _, _, metrics = simulate_artifacts
+        _, _, metrics, _ = simulate_artifacts
         derived = metrics["derived"]
         forecast = derived["forecast"]
         assert forecast["n_pairs"] > 100
