@@ -8,7 +8,11 @@ paper reports.
 Every module additionally declares its **sweep-cell grid**: ``grid()``
 returns the experiment's independent cells as
 :class:`~repro.runner.RunSpec` objects and ``run_cell(spec, config)``
-executes one of them hermetically.  The registry in
+executes one of them hermetically.  One function per module builds and
+runs a cell from its spec and an already-built setup; the serial
+runner iterates its own ``grid()`` through that function, and
+``run_cell`` (and ``tensor_cell``, where declared) wrap the same
+function, so there is no second construction to drift.  The registry in
 :mod:`repro.experiments.registry` enumerates all experiments for
 ``pstore experiment --list`` and ``pstore sweep`` without importing the
 heavy modules up front.

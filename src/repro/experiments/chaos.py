@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import PStoreConfig, default_config
-from ..elasticity import PStoreStrategy, ReactiveStrategy
+from ..elasticity import StrategySpec
 from ..faults import (
     FaultInjector,
     FaultRecord,
@@ -33,8 +33,8 @@ from ..faults import (
     render_fault_report,
 )
 from ..sim import ElasticDbSimulator, SimulationResult
-from .common import benchmark_setup
-from .fig09 import ENGINE_SEED
+from .common import BenchmarkSetup, sim_payload
+from .fig09 import ENGINE_SEED, cell_setup
 
 
 @dataclass
@@ -88,61 +88,14 @@ def run_chaos(
     the recovery timelines are directly comparable.
     """
     scenario = scenario or crash_during_migration_scenario(migration=1, seed=7)
-    config = config or default_config()
-    setup = benchmark_setup(eval_days=eval_days, seed=seed, config=config)
-
-    runs: Dict[str, ChaosRun] = {}
-
-    def execute(label: str, make_strategy, injector) -> SimulationResult:
-        simulator = ElasticDbSimulator(
-            config,
-            max_machines=10,
-            initial_machines=4,
-            seed=ENGINE_SEED,
-            injector=injector,
-        )
-        return simulator.run(
-            setup.offered_tps,
-            make_strategy(injector),
-            history_seed_tps=setup.train_interval_tps,
-        )
-
-    baseline = execute(
-        "baseline",
-        lambda _inj: PStoreStrategy(config, setup.spar, name="p-store"),
-        None,
-    )
-
-    injector = FaultInjector(scenario)
-    result = execute(
-        "p-store",
-        lambda inj: PStoreStrategy(config, setup.spar, name="p-store",
-                                   injector=inj),
-        injector,
-    )
-    runs["p-store"] = ChaosRun(
-        label="p-store",
-        result=result,
-        records=list(injector.records),
-        chronicle=list(injector.chronicle),
-        stats=recovery_stats(injector.records),
-    )
-
-    if include_reactive:
-        injector = FaultInjector(scenario)
-        result = execute(
-            "reactive",
-            lambda _inj: ReactiveStrategy(config, max_machines=10),
-            injector,
-        )
-        runs["reactive"] = ChaosRun(
-            label="reactive",
-            result=result,
-            records=list(injector.records),
-            chronicle=list(injector.chronicle),
-            stats=recovery_stats(injector.records),
-        )
-
+    specs = grid(eval_days=eval_days, seed=seed)
+    setup = cell_setup(specs[0], config or default_config())
+    runs = {
+        spec.cell: chaos_run(spec, setup, scenario)
+        for spec in specs
+        if include_reactive or spec.cell != "reactive"
+    }
+    baseline = runs.pop("baseline").result
     return ChaosResult(scenario=scenario, runs=runs, baseline=baseline)
 
 
@@ -154,7 +107,7 @@ def run_chaos(
 CHAOS_CELLS = (
     ("baseline", "p-store", False),
     ("p-store", "p-store", True),
-    ("reactive", "reactive", True),
+    ("reactive", "reactive:max_machines=10", True),
 )
 
 
@@ -178,44 +131,46 @@ def grid(eval_days: int = 1, seed: int = 21, scenario_seed: int = 7) -> list:
     ]
 
 
-def run_cell(spec, config) -> dict:
-    """One strategy under the canonical crash-during-migration drill."""
-    from ..elasticity import StrategySpec
-    from .common import sim_payload
-
-    setup = benchmark_setup(
-        eval_days=int(spec.option("eval_days", 1)),
-        seed=spec.seed,
-        config=config,
-    )
-    injector = None
-    if spec.option("faults"):
-        scenario = crash_during_migration_scenario(
-            migration=1, seed=int(spec.option("scenario_seed", 7))
-        )
-        injector = FaultInjector(scenario)
-    parsed = StrategySpec.parse(spec.strategy)
-    if parsed.kind == "p-store":
-        strategy = PStoreStrategy(
-            config, setup.spar, name="p-store", injector=injector
-        )
-    else:
-        strategy = parsed.build(config, predictor=setup.spar)
+def chaos_run(
+    spec, setup: BenchmarkSetup, scenario: FaultScenario
+) -> ChaosRun:
+    """Run one cell on ``setup`` — the only construction of a chaos run.
+    Cells with ``faults`` on get a fresh injector for ``scenario``."""
+    injector = FaultInjector(scenario) if spec.option("faults") else None
     simulator = ElasticDbSimulator(
-        config,
+        setup.config,
         max_machines=10,
         initial_machines=4,
         seed=ENGINE_SEED,
         injector=injector,
+    )
+    strategy = StrategySpec.parse(spec.strategy).build(
+        setup.config, predictor=setup.spar, injector=injector
     )
     result = simulator.run(
         setup.offered_tps,
         strategy,
         history_seed_tps=setup.train_interval_tps,
     )
-    payload = sim_payload(result)
-    if injector is not None:
-        stats = recovery_stats(injector.records)
+    records = list(injector.records) if injector is not None else []
+    return ChaosRun(
+        label=spec.cell,
+        result=result,
+        records=records,
+        chronicle=list(injector.chronicle) if injector is not None else [],
+        stats=recovery_stats(records),
+    )
+
+
+def run_cell(spec, config) -> dict:
+    """One strategy under the canonical crash-during-migration drill."""
+    scenario = crash_during_migration_scenario(
+        migration=1, seed=int(spec.option("scenario_seed", 7))
+    )
+    run = chaos_run(spec, cell_setup(spec, config), scenario)
+    payload = sim_payload(run.result)
+    if spec.option("faults"):
+        stats = run.stats
         payload["recovery"] = {
             "injected": stats.injected,
             "detected": stats.detected,
@@ -225,7 +180,7 @@ def run_cell(spec, config) -> dict:
             "max_time_to_recover": stats.max_time_to_recover,
             "converged": stats.all_recovered,
         }
-        payload["chronicle"] = list(injector.chronicle)
+        payload["chronicle"] = run.chronicle
     return payload
 
 

@@ -126,6 +126,17 @@ def series_digest(values) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def run_scalar(program):
+    """Run a :class:`~repro.sim.tensor.TensorProgram` on the scalar
+    simulator — how serial runners and ``run_cell`` execute the program
+    the tensor backend would batch."""
+    return program.simulator.run(
+        program.offered_tps,
+        program.strategy,
+        history_seed_tps=program.history_seed_tps,
+    )
+
+
 def sim_payload(result) -> dict:
     """Canonical JSON payload for an :class:`ElasticDbSimulator` run."""
     violations = result.sla_violations()

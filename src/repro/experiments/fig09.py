@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..config import default_config
 from ..elasticity import StrategySpec
 from ..sim import ElasticDbSimulator, SimulationResult
-from .common import BenchmarkSetup, benchmark_setup, sim_payload
+from ..sim.tensor import TensorProgram
+from .common import BenchmarkSetup, benchmark_setup, run_scalar, sim_payload
 
 #: Engine seed shared across approaches so they see the same skew.
 ENGINE_SEED = 77
@@ -33,6 +35,8 @@ APPROACH_SPECS = (
     ("reactive", "reactive:patience=10", 4),
     ("p-store", "p-store", 4),
 )
+
+_INITIAL_MACHINES = {name: initial for name, _, initial in APPROACH_SPECS}
 
 
 @dataclass
@@ -71,52 +75,14 @@ def run_figure9(
     ``approaches`` optionally restricts which runs execute, keyed by
     "static-10" / "static-4" / "reactive" / "p-store".
     """
-    setup = setup or benchmark_setup(eval_days=eval_days, seed=seed)
-    wanted = approaches or {name: True for name, _, _ in APPROACH_SPECS}
-    runs: Dict[str, SimulationResult] = {}
-    for name, spec_text, initial in APPROACH_SPECS:
-        if wanted.get(name):
-            runs[name] = run_approach(
-                StrategySpec.parse(spec_text), setup, initial_machines=initial
-            )
+    specs = grid(eval_days=eval_days, seed=seed)
+    setup = setup or cell_setup(specs[0], default_config())
+    runs = {
+        spec.cell: run_scalar(cell_program(spec, setup))
+        for spec in specs
+        if not approaches or approaches.get(spec.cell)
+    }
     return Figure9Result(runs=runs, setup=setup)
-
-
-def prepare_approach(
-    spec: StrategySpec,
-    setup: BenchmarkSetup,
-    initial_machines: int = 4,
-):
-    """Build the (simulator, strategy, history) triple for one approach.
-
-    Shared by the serial runner and the tensor-backend cell builder so
-    both execute exactly the same construction — the precondition for
-    their results being bit-identical.
-    """
-    config = setup.config
-    strategy = spec.build(config, predictor=setup.spar)
-    simulator = ElasticDbSimulator(
-        config,
-        max_machines=10,
-        initial_machines=initial_machines,
-        seed=ENGINE_SEED,
-    )
-    history = setup.train_interval_tps if spec.kind == "p-store" else ()
-    return simulator, strategy, history
-
-
-def run_approach(
-    spec: StrategySpec,
-    setup: BenchmarkSetup,
-    initial_machines: int = 4,
-) -> SimulationResult:
-    """One Fig. 9-style benchmark run for a declarative strategy spec."""
-    simulator, strategy, history = prepare_approach(
-        spec, setup, initial_machines
-    )
-    return simulator.run(
-        setup.offered_tps, strategy, history_seed_tps=history
-    )
 
 
 # ----------------------------------------------------------------------
@@ -140,55 +106,46 @@ def grid(eval_days: int = 3, seed: int = 21) -> List:
     ]
 
 
-def initial_machines_for(cell: str) -> int:
-    for name, _, initial in APPROACH_SPECS:
-        if name == cell:
-            return initial
-    return 4
-
-
-def run_cell(spec, config) -> dict:
-    """Execute one approach hermetically (used by ``pstore sweep``)."""
-    setup = benchmark_setup(
+def cell_setup(spec, config) -> BenchmarkSetup:
+    """The benchmark workload a cell runs on."""
+    return benchmark_setup(
         eval_days=int(spec.option("eval_days", 3)),
         seed=spec.seed,
         config=config,
     )
-    result = run_approach(
-        StrategySpec.parse(spec.strategy),
-        setup,
-        initial_machines=initial_machines_for(spec.cell),
-    )
-    return sim_payload(result)
 
 
-def tensor_cell(spec, config):
-    """Build one approach as a :class:`~repro.sim.tensor.TensorProgram`.
-
-    Same construction as :func:`run_cell` (via :func:`prepare_approach`),
-    but returns the unstarted program so the tensor backend can batch it
-    with the other approaches of the grid.
-    """
-    from ..sim.tensor import TensorProgram
-
-    setup = benchmark_setup(
-        eval_days=int(spec.option("eval_days", 3)),
-        seed=spec.seed,
-        config=config,
-    )
-    simulator, strategy, history = prepare_approach(
-        StrategySpec.parse(spec.strategy),
-        setup,
-        initial_machines=initial_machines_for(spec.cell),
+def cell_program(spec, setup: BenchmarkSetup) -> TensorProgram:
+    """Build one approach on ``setup`` — the only construction of a
+    Fig. 9 run.  The serial runner and :func:`run_cell` run the program
+    on the scalar simulator; the tensor backend batches it."""
+    parsed = StrategySpec.parse(spec.strategy)
+    strategy = parsed.build(setup.config, predictor=setup.spar)
+    simulator = ElasticDbSimulator(
+        setup.config,
+        max_machines=10,
+        initial_machines=_INITIAL_MACHINES.get(spec.cell, 4),
+        seed=ENGINE_SEED,
     )
     return TensorProgram(
         simulator=simulator,
         offered_tps=setup.offered_tps,
         strategy=strategy,
-        history_seed_tps=history,
+        history_seed_tps=(
+            setup.train_interval_tps if parsed.kind == "p-store" else ()
+        ),
         label=spec.label,
         finalize=sim_payload,
     )
+
+
+def tensor_cell(spec, config) -> TensorProgram:
+    return cell_program(spec, cell_setup(spec, config))
+
+
+def run_cell(spec, config) -> dict:
+    """Execute one approach hermetically (used by ``pstore sweep``)."""
+    return sim_payload(run_scalar(tensor_cell(spec, config)))
 
 
 def summarize(result: Figure9Result) -> str:

@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..config import default_config
-from ..elasticity import PStoreStrategy
+from ..elasticity import PStoreStrategy, StrategySpec
 from ..sim import ElasticDbSimulator, SimulationResult
+from ..sim.tensor import TensorProgram
 from ..workload import EventCalendar, LoadEvent, b2w_like_trace
-from .common import BENCHMARK_BASE_LEVEL, TRAIN_DAYS, benchmark_setup
+from .common import (
+    BENCHMARK_BASE_LEVEL,
+    TRAIN_DAYS,
+    BenchmarkSetup,
+    benchmark_setup,
+    run_scalar,
+    sim_payload,
+)
 from .fig09 import ENGINE_SEED
 
 
@@ -74,28 +82,12 @@ def run_figure11(
     spike_magnitude: float = 2.2,
 ) -> Figure11Result:
     """Run the spike day twice: emergency rate R vs R x 8."""
-    config = default_config()
-    trace = _spike_trace(eval_days, seed, spike_magnitude)
-    setup = benchmark_setup(eval_days=eval_days, config=config, trace=trace)
-
-    results = {}
-    for label, multiplier in (("regular", 1.0), ("boosted", 8.0)):
-        strategy = PStoreStrategy(
-            config,
-            setup.spar,
-            emergency_rate_multiplier=multiplier,
-            name=f"p-store-R{'' if multiplier == 1 else 'x8'}",
-        )
-        simulator = ElasticDbSimulator(
-            config, max_machines=10, initial_machines=4, seed=ENGINE_SEED
-        )
-        results[label] = simulator.run(
-            setup.offered_tps,
-            strategy,
-            history_seed_tps=setup.train_interval_tps,
-        )
+    specs = grid(eval_days=eval_days, seed=seed,
+                 spike_magnitude=spike_magnitude)
+    setup = cell_setup(specs[0], default_config())
+    runs = {spec.cell: run_scalar(cell_program(spec, setup)) for spec in specs}
     return Figure11Result(
-        regular_rate=results["regular"], boosted_rate=results["boosted"]
+        regular_rate=runs["rate-R"], boosted_rate=runs["rate-Rx8"]
     )
 
 
@@ -123,52 +115,46 @@ def grid(eval_days: int = 1, seed: int = 33,
     ]
 
 
-def _prepare_cell(spec, config):
-    """(simulator, offered, strategy, history) for one sweep cell —
-    shared by the serial and tensor cell runners."""
-    from ..elasticity import StrategySpec
-
+def cell_setup(spec, config) -> BenchmarkSetup:
+    """The spike-day workload a cell runs on."""
     eval_days = int(spec.option("eval_days", 1))
     trace = _spike_trace(
         eval_days, spec.seed, float(spec.option("spike_magnitude", 2.2))
     )
-    setup = benchmark_setup(eval_days=eval_days, config=config, trace=trace)
+    return benchmark_setup(eval_days=eval_days, config=config, trace=trace)
+
+
+def cell_program(spec, setup: BenchmarkSetup) -> TensorProgram:
+    """Build one spike-day run on ``setup`` — the only construction of
+    a Fig. 11 run (scalar for the serial runner and :func:`run_cell`,
+    batched by the tensor backend)."""
     parsed = StrategySpec.parse(spec.strategy)
     multiplier = float(parsed.param("emergency_rate", 1.0))
     strategy = PStoreStrategy(
-        config,
+        setup.config,
         setup.spar,
         emergency_rate_multiplier=multiplier,
         name=f"p-store-R{'' if multiplier == 1 else 'x8'}",
     )
     simulator = ElasticDbSimulator(
-        config, max_machines=10, initial_machines=4, seed=ENGINE_SEED
+        setup.config, max_machines=10, initial_machines=4, seed=ENGINE_SEED
     )
-    return simulator, setup.offered_tps, strategy, setup.train_interval_tps
-
-
-def run_cell(spec, config) -> dict:
-    from .common import sim_payload
-
-    simulator, offered, strategy, history = _prepare_cell(spec, config)
-    result = simulator.run(offered, strategy, history_seed_tps=history)
-    return sim_payload(result)
-
-
-def tensor_cell(spec, config):
-    """One spike-day cell as a :class:`~repro.sim.tensor.TensorProgram`."""
-    from ..sim.tensor import TensorProgram
-    from .common import sim_payload
-
-    simulator, offered, strategy, history = _prepare_cell(spec, config)
     return TensorProgram(
         simulator=simulator,
-        offered_tps=offered,
+        offered_tps=setup.offered_tps,
         strategy=strategy,
-        history_seed_tps=history,
+        history_seed_tps=setup.train_interval_tps,
         label=spec.label,
         finalize=sim_payload,
     )
+
+
+def tensor_cell(spec, config) -> TensorProgram:
+    return cell_program(spec, cell_setup(spec, config))
+
+
+def run_cell(spec, config) -> dict:
+    return sim_payload(run_scalar(tensor_cell(spec, config)))
 
 
 def summarize(result: Figure11Result) -> str:

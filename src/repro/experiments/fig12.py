@@ -30,10 +30,11 @@ from ..elasticity import (
     SimpleStrategy,
     StaticStrategy,
 )
+from ..errors import ConfigurationError
 from ..prediction import OraclePredictor, SparPredictor
 from ..sim import CapacitySimResult, run_capacity_simulation
 from ..workload import LoadTrace, b2w_like_trace, retail_season_calendar
-from .common import TRAIN_DAYS
+from .common import TRAIN_DAYS, capacity_payload
 
 #: Per-slot scale chosen so the seasonal trace peaks near 1.45k txn/s
 #: (ordinary days) with Black Friday reaching ~3x that.
@@ -121,7 +122,6 @@ class Figure12Result:
 
     curves: Dict[str, CapacityCostCurve]
     baseline_cost: float              # default P-Store SPAR run (cost = 1.0)
-    default_runs: Dict[str, CapacitySimResult]
     setup: SeasonSetup
 
     def normalized_points(self) -> List[dict]:
@@ -177,38 +177,6 @@ def simple_strategy_for(setup: SeasonSetup, config: PStoreConfig) -> SimpleStrat
     )
 
 
-def _run_sweep(
-    setup: SeasonSetup,
-    name: str,
-    factory,
-    q_fractions: Sequence[float],
-    seed_history: bool,
-) -> CapacityCostCurve:
-    points: List[SweepPoint] = []
-    for fraction in q_fractions:
-        q = min(fraction * SATURATION_TPS, setup.config.q_hat)
-        config = setup.config.with_q(q)
-        strategy = factory(config, fraction)
-        result = run_capacity_simulation(
-            setup.trace,
-            strategy,
-            config,
-            initial_machines=_initial_machines(setup, config.q),
-            history_seed=list(setup.train_tps) if seed_history else [],
-        )
-        points.append(
-            SweepPoint(
-                strategy=name,
-                q_fraction=fraction,
-                q=config.q,
-                cost_machine_slots=result.cost_machine_slots,
-                average_machines=result.average_machines,
-                pct_time_insufficient=result.pct_time_insufficient,
-            )
-        )
-    return CapacityCostCurve(strategy=name, points=points)
-
-
 def run_figure12(
     n_days: int = 135,
     seed: int = 7,
@@ -221,74 +189,38 @@ def run_figure12(
     ``n_days`` and ``q_fractions`` can be reduced for quick runs; the
     paper uses the full 4.5 months.
     """
-    setup = setup or season_setup(n_days=n_days, seed=seed)
+    specs = grid(n_days=n_days, seed=seed, q_fractions=q_fractions)
+    setup = setup or cell_setup(specs[0], default_config())
 
     curves: Dict[str, CapacityCostCurve] = {}
-    curves["p-store-spar"] = _run_sweep(
-        setup,
-        "p-store-spar",
-        lambda cfg, f: PStoreStrategy(cfg, setup.spar, name="p-store-spar"),
-        q_fractions,
-        seed_history=True,
-    )
-    if include_oracle:
-        curves["p-store-oracle"] = _run_sweep(
-            setup,
-            "p-store-oracle",
-            lambda cfg, f: PStoreStrategy(
-                cfg, setup.oracle, name="p-store-oracle"
-            ),
-            q_fractions,
-            seed_history=True,
+    for spec in specs:
+        family = str(spec.option("family"))
+        if family == "p-store-oracle" and not include_oracle:
+            continue
+        result = season_run(spec, setup)
+        curve = curves.setdefault(
+            family, CapacityCostCurve(strategy=family, points=[])
         )
-    curves["reactive"] = _run_sweep(
-        setup,
-        "reactive",
-        lambda cfg, f: ReactiveStrategy(cfg, scale_in_patience=12),
-        q_fractions,
-        seed_history=False,
-    )
-    curves["simple"] = _run_sweep(
-        setup,
-        "simple",
-        lambda cfg, f: simple_strategy_for(setup, cfg),
-        q_fractions,
-        seed_history=False,
-    )
-    static_points: List[SweepPoint] = []
-    for size in STATIC_SIZES:
-        config = setup.config
-        result = run_capacity_simulation(
-            setup.trace,
-            StaticStrategy(size),
-            config,
-            initial_machines=size,
-        )
-        static_points.append(
+        curve.points.append(
             SweepPoint(
-                strategy=f"static-{size}",
-                q_fraction=float("nan"),
-                q=config.q,
+                strategy=spec.cell if family == "static" else family,
+                q_fraction=float(spec.option("q_fraction", math.nan)),
+                q=_cell_config(spec, setup).q,
                 cost_machine_slots=result.cost_machine_slots,
                 average_machines=result.average_machines,
                 pct_time_insufficient=result.pct_time_insufficient,
             )
         )
-    curves["static"] = CapacityCostCurve(strategy="static", points=static_points)
 
     # Baseline: P-Store SPAR at the default Q (0.65 of saturation).
-    spar_curve = curves["p-store-spar"]
-    default_fraction = min(
-        q_fractions, key=lambda f: abs(f - 0.65)
-    )
+    default_fraction = min(q_fractions, key=lambda f: abs(f - 0.65))
     baseline = next(
-        p for p in spar_curve.points if p.q_fraction == default_fraction
+        p for p in curves["p-store-spar"].points
+        if p.q_fraction == default_fraction
     )
-    default_runs: Dict[str, CapacitySimResult] = {}
     return Figure12Result(
         curves=curves,
         baseline_cost=baseline.cost_machine_slots,
-        default_runs=default_runs,
         setup=setup,
     )
 
@@ -340,47 +272,66 @@ def grid(
     return specs
 
 
-def run_cell(spec, config) -> dict:
-    """One (strategy, Q) point of the capacity-cost plane."""
-    from ..errors import ConfigurationError
-    from .common import capacity_payload
+def cell_setup(spec, config: PStoreConfig) -> SeasonSetup:
+    """The season a cell (of Fig. 12 or Fig. 13) runs on."""
+    return season_setup(
+        n_days=int(spec.option("n_days", 135)),
+        seed=spec.seed,
+        config=config.with_interval(300.0),
+    )
 
-    setup = season_setup(n_days=int(spec.option("n_days", 135)), seed=spec.seed)
+
+def _cell_config(spec, setup: SeasonSetup) -> PStoreConfig:
+    """The season config, with Q set from the cell's ``q_fraction``."""
+    fraction = spec.option("q_fraction")
+    if fraction is None:
+        return setup.config
+    return setup.config.with_q(
+        min(float(fraction) * SATURATION_TPS, setup.config.q_hat)
+    )
+
+
+def season_run(spec, setup: SeasonSetup) -> CapacitySimResult:
+    """Simulate one ``family`` cell on ``setup`` — the only construction
+    of a season run, shared by Fig. 12 and Fig. 13."""
     family = str(spec.option("family"))
     if family == "static":
         size = int(spec.option("size"))
-        result = run_capacity_simulation(
+        return run_capacity_simulation(
             setup.trace, StaticStrategy(size), setup.config,
             initial_machines=size,
         )
-        payload = capacity_payload(result)
-        payload["family"] = family
-        return payload
-
-    fraction = float(spec.option("q_fraction"))
-    cfg = setup.config.with_q(
-        min(fraction * SATURATION_TPS, setup.config.q_hat)
-    )
-    seed_history = family.startswith("p-store")
+    config = _cell_config(spec, setup)
+    predictive = family.startswith("p-store")
     if family == "p-store-spar":
-        strategy = PStoreStrategy(cfg, setup.spar, name="p-store-spar")
+        strategy = PStoreStrategy(config, setup.spar, name=family)
     elif family == "p-store-oracle":
-        strategy = PStoreStrategy(cfg, setup.oracle, name="p-store-oracle")
+        strategy = PStoreStrategy(config, setup.oracle, name=family)
     elif family == "reactive":
-        strategy = ReactiveStrategy(cfg, scale_in_patience=12)
+        strategy = ReactiveStrategy(config, scale_in_patience=12)
     elif family == "simple":
-        strategy = simple_strategy_for(setup, cfg)
+        strategy = simple_strategy_for(setup, config)
     else:
-        raise ConfigurationError(f"unknown fig12 family {family!r}")
-    result = run_capacity_simulation(
+        raise ConfigurationError(f"unknown season family {family!r}")
+    return run_capacity_simulation(
         setup.trace,
         strategy,
-        cfg,
-        initial_machines=_initial_machines(setup, cfg.q),
-        history_seed=list(setup.train_tps) if seed_history else [],
+        config,
+        initial_machines=_initial_machines(setup, config.q),
+        history_seed=list(setup.train_tps) if predictive else [],
     )
-    payload = capacity_payload(result)
-    payload.update({"family": family, "q_fraction": fraction, "q": cfg.q})
+
+
+def run_cell(spec, config) -> dict:
+    """One (strategy, Q) point of the capacity-cost plane."""
+    setup = cell_setup(spec, config)
+    payload = capacity_payload(season_run(spec, setup))
+    payload["family"] = str(spec.option("family"))
+    if spec.option("q_fraction") is not None:
+        payload.update(
+            q_fraction=float(spec.option("q_fraction")),
+            q=_cell_config(spec, setup).q,
+        )
     return payload
 
 

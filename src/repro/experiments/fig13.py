@@ -10,15 +10,15 @@ Black Friday.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from ..elasticity import PStoreStrategy
-from ..sim import CapacitySimResult, run_capacity_simulation
-from .fig12 import SeasonSetup, season_setup, simple_strategy_for
+from ..config import default_config
+from ..sim import CapacitySimResult
+from .common import capacity_payload
+from .fig12 import SeasonSetup, cell_setup, season_run
 
 
 @dataclass
@@ -72,24 +72,9 @@ def run_figure13(
     black_friday_day: int = 116,
 ) -> Figure13Result:
     """Simulate P-Store SPAR and Simple over the season; extract windows."""
-    setup = setup or season_setup(n_days=n_days, seed=seed)
-    config = setup.config
-    initial = max(1, math.ceil(float(setup.eval_tps[0]) * 1.3 / config.q))
-
-    runs: Dict[str, CapacitySimResult] = {}
-    runs["p-store-spar"] = run_capacity_simulation(
-        setup.trace,
-        PStoreStrategy(config, setup.spar, name="p-store-spar"),
-        config,
-        initial_machines=initial,
-        history_seed=list(setup.train_tps),
-    )
-    runs["simple"] = run_capacity_simulation(
-        setup.trace,
-        simple_strategy_for(setup, config),
-        config,
-        initial_machines=initial,
-    )
+    specs = grid(n_days=n_days, seed=seed)
+    setup = setup or cell_setup(specs[0], default_config())
+    runs = {spec.cell: season_run(spec, setup) for spec in specs}
 
     eval_days = len(setup.trace) / 288.0
     bf_start = min(black_friday_day - 1.5, eval_days - 4.0)
@@ -107,44 +92,22 @@ def run_figure13(
 
 
 def grid(n_days: int = 120, seed: int = 7) -> list:
+    """P-Store SPAR and Simple at the default Q (Fig. 12's families)."""
     from ..runner import RunSpec
 
     return [
         RunSpec(
             experiment="fig13",
-            cell=cell,
-            strategy=strategy,
+            cell=family,
             seed=seed,
-            overrides=(("n_days", int(n_days)),),
+            overrides=(("family", family), ("n_days", int(n_days))),
         )
-        for cell, strategy in (
-            ("p-store-spar", "p-store:name=p-store-spar"),
-            ("simple", "simple:6/3"),
-        )
+        for family in ("p-store-spar", "simple")
     ]
 
 
 def run_cell(spec, config) -> dict:
-    from ..elasticity import StrategySpec
-    from ..sim import run_capacity_simulation
-    from .common import capacity_payload
-
-    n_days = int(spec.option("n_days", 120))
-    setup = season_setup(n_days=n_days, seed=spec.seed)
-    cfg = setup.config
-    initial = max(1, math.ceil(float(setup.eval_tps[0]) * 1.3 / cfg.q))
-    parsed = StrategySpec.parse(spec.strategy)
-    if parsed.kind == "p-store":
-        strategy = parsed.build(cfg, predictor=setup.spar)
-        history = list(setup.train_tps)
-    else:
-        strategy = simple_strategy_for(setup, cfg)
-        history = []
-    result = run_capacity_simulation(
-        setup.trace, strategy, cfg,
-        initial_machines=initial, history_seed=history,
-    )
-    return capacity_payload(result)
+    return capacity_payload(season_run(spec, cell_setup(spec, config)))
 
 
 def summarize(result: Figure13Result) -> str:

@@ -5,7 +5,9 @@ One :class:`ExperimentDef` per evaluation artefact, loaded lazily so
 numpy-heavy experiment modules they don't need.  Every entry names:
 
 * ``runner`` — the module's ``run_*`` function (the serial, rich-result
-  entry point);
+  entry point), which iterates its own grid through the cell function
+  ``run_cell`` wraps — one construction per cell, whichever entry point
+  runs it;
 * ``grid`` — a function returning the experiment's cell grid as
   :class:`~repro.runner.RunSpec` objects (every experiment declares its
   grid here instead of looping inline);

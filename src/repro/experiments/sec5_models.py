@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..errors import ConfigurationError
 from ..prediction import ArmaPredictor, ArPredictor, SparPredictor
-from ..workload import b2w_like_trace
+from ..workload import LoadTrace, b2w_like_trace
 
 
 @dataclass
@@ -34,26 +35,15 @@ def run_model_comparison(
     stride: int = 31,
 ) -> ModelComparisonResult:
     """Fit all three models on the same trace; compare tau-ahead MRE."""
-    trace = b2w_like_trace(
-        n_days=train_days + eval_days, slot_seconds=60.0, seed=seed
+    specs = grid(tau_minutes=tau_minutes, seed=seed, train_days=train_days,
+                 eval_days=eval_days, stride=stride)
+    trace = cell_trace(specs[0])
+    return ModelComparisonResult(
+        mre_by_model={
+            str(spec.option("model")): model_mre(spec, trace)
+            for spec in specs
+        }
     )
-    period = trace.slots_per_day
-    train = train_days * period
-    stop = train + eval_days * period
-
-    models = {
-        "SPAR": SparPredictor(period=period, n_periods=7, m_recent=30),
-        "ARMA": ArmaPredictor(p=30, q=10),
-        "AR": ArPredictor(order=30),
-    }
-    mre: Dict[str, float] = {}
-    for name, model in models.items():
-        model.fit(trace.values[:train])
-        result = model.backtest(
-            trace.values, tau=tau_minutes, start=train, stop=stop, step=stride
-        )
-        mre[name] = result.mean_relative_error()
-    return ModelComparisonResult(mre_by_model=mre)
 
 
 # ----------------------------------------------------------------------
@@ -61,7 +51,13 @@ def run_model_comparison(
 # ----------------------------------------------------------------------
 
 
-def grid(tau_minutes: int = 60, seed: int = 7) -> list:
+def grid(
+    tau_minutes: int = 60,
+    seed: int = 7,
+    train_days: int = 28,
+    eval_days: int = 7,
+    stride: int = 31,
+) -> list:
     from ..runner import RunSpec
 
     return [
@@ -72,33 +68,52 @@ def grid(tau_minutes: int = 60, seed: int = 7) -> list:
             overrides=(
                 ("model", model),
                 ("tau_minutes", int(tau_minutes)),
+                ("train_days", int(train_days)),
+                ("eval_days", int(eval_days)),
+                ("stride", int(stride)),
             ),
         )
         for model in ("SPAR", "ARMA", "AR")
     ]
 
 
-def run_cell(spec, config) -> dict:
-    name = str(spec.option("model", "SPAR"))
-    trace = b2w_like_trace(n_days=28 + 7, slot_seconds=60.0, seed=spec.seed)
+def cell_trace(spec) -> LoadTrace:
+    """The training + evaluation trace a cell backtests on."""
+    n_days = int(spec.option("train_days")) + int(spec.option("eval_days"))
+    return b2w_like_trace(n_days=n_days, slot_seconds=60.0, seed=spec.seed)
+
+
+def model_mre(spec, trace: LoadTrace) -> float:
+    """Fit the cell's model on ``trace`` and return its tau-ahead MRE —
+    the only construction of a Sec. 5 predictor."""
     period = trace.slots_per_day
-    train = 28 * period
-    stop = train + 7 * period
-    models = {
-        "SPAR": SparPredictor(period=period, n_periods=7, m_recent=30),
-        "ARMA": ArmaPredictor(p=30, q=10),
-        "AR": ArPredictor(order=30),
-    }
-    model = models[name]
+    train = int(spec.option("train_days")) * period
+    stop = train + int(spec.option("eval_days")) * period
+    name = str(spec.option("model"))
+    if name == "SPAR":
+        model = SparPredictor(period=period, n_periods=7, m_recent=30)
+    elif name == "ARMA":
+        model = ArmaPredictor(p=30, q=10)
+    elif name == "AR":
+        model = ArPredictor(order=30)
+    else:
+        raise ConfigurationError(f"unknown sec5 model {name!r}")
     model.fit(trace.values[:train])
     backtest = model.backtest(
         trace.values,
-        tau=int(spec.option("tau_minutes", 60)),
+        tau=int(spec.option("tau_minutes")),
         start=train,
         stop=stop,
-        step=31,
+        step=int(spec.option("stride")),
     )
-    return {"model": name, "mre": backtest.mean_relative_error()}
+    return backtest.mean_relative_error()
+
+
+def run_cell(spec, config) -> dict:
+    return {
+        "model": str(spec.option("model")),
+        "mre": model_mre(spec, cell_trace(spec)),
+    }
 
 
 def summarize(result: ModelComparisonResult) -> str:

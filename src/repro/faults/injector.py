@@ -337,10 +337,6 @@ class FaultInjector:
     def crashed_nodes(self) -> Set[int]:
         return set(self._crashed_nodes)
 
-    def migration_stalled(self, now: Optional[float] = None) -> bool:
-        """Whether a migration-stall window is open right now."""
-        return self.stall_record(now) is not None
-
     def stall_record(self, now: Optional[float] = None) -> Optional[FaultRecord]:
         now = self._now if now is None else now
         for record in self._stalls:
@@ -349,14 +345,6 @@ class FaultInjector:
             ):
                 return record
         return None
-
-    def stall_remaining(self, now: Optional[float] = None) -> float:
-        """Seconds left in the currently-open stall window (0 if none)."""
-        now = self._now if now is None else now
-        record = self.stall_record(now)
-        if record is None or record.ends_at is None:
-            return 0.0
-        return max(0.0, record.ends_at - now)
 
     def capacity_multiplier(self, node: int, now: Optional[float] = None) -> float:
         """Effective capacity of ``node`` (1.0 = healthy straggler-free)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import SimulationError
 
@@ -157,13 +157,3 @@ class CheckpointStore:
                     handle.write(json.dumps(rec, sort_keys=True) + "\n")
             os.replace(tmp, self.chronicle_path)
         return usable
-
-
-def peek_schema(directory) -> Optional[str]:
-    """Schema string of the checkpoint in ``directory`` (None if absent
-    or unreadable) — used by the CLI for friendlier error messages."""
-    path = pathlib.Path(directory) / CHECKPOINT_FILE
-    try:
-        return json.loads(path.read_text(encoding="utf-8")).get("schema")
-    except (OSError, json.JSONDecodeError):
-        return None
